@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from syklab.decompose import nonlocal_fraction, size_spectrum_of_matrix
+from syklab.decompose import majorana_coefficients, nonlocal_fraction, size_spectrum
 from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from syklab.poissonize import build_pool, poissonize
 
@@ -24,7 +24,7 @@ def sample_fractions(n, seed, samples, pool_members, pool_start):
         h = build_hamiltonian(sample_couplings(params, m))
         pair = poissonize(h, pool, member_rng(seed + 1, m))
         fractions[m] = nonlocal_fraction(pair.poissonized, n)
-        weights = size_spectrum_of_matrix(pair.poissonized, n)
+        weights = size_spectrum(majorana_coefficients(pair.poissonized, n))
         shares += weights / weights.sum()
     return fractions, shares / samples
 

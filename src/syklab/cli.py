@@ -157,7 +157,6 @@ def cmd_sample(args) -> int:
         "seed": _setting(args, cfg, "seed", int, 42),
         "member": _setting(args, cfg, "member", int, 0),
         "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
     }
     params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
     out = _open_out(s["out"])
@@ -408,7 +407,6 @@ def cmd_metropolis(args) -> int:
         "resume": _setting(args, cfg, "resume", str, ""),
         "per_sector": _setting(args, cfg, "per_sector", bool, False),
         "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
     }
     params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
     out = _open_out(s["out"])
@@ -521,9 +519,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--j-scale", dest="j_scale", type=float, help="coupling scale")
     sub.add_argument("--seed", type=int, help="ensemble seed")
     sub.add_argument("--out", type=str, help="output directory")
-    sub.add_argument("--jobs", type=int, help="ensemble-level worker threads")
     sub.add_argument("--config", type=str, help="key=value config file; flags override")
     sub.add_argument("--large", action="store_true", help="allow expensive sizes (n >= 20)")
+
+
+def _add_pool(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
+    sub.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
+    sub.add_argument("--jobs", type=int, help="ensemble-level worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poissonize", help="pool draw comparison: gap-ratio histograms and statistics")
     _add_common(p)
     p.add_argument("--samples", type=int, help="number of base draws")
-    p.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
-    p.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
+    _add_pool(p)
     p.add_argument("--bins", type=int, help="histogram bins over [0,1]")
     p.add_argument("--identity-draw", dest="identity_draw", action="store_const", const=True,
                    help="test mode: replacement equals own spectrum")
@@ -558,16 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fermion indices for two-point series, or 'all'")
     p.add_argument("--coefficients", type=str, help="compare against couplings from this file")
     p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    p.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
-    p.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
+    _add_pool(p)
     p.set_defaults(func=cmd_correlators)
 
     p = subs.add_parser("decompose", help="fermion size spectrum and nonlocal fraction")
     _add_common(p)
     p.add_argument("--member", type=int, help="disorder member index")
     p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    p.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
-    p.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
+    _add_pool(p)
     p.add_argument("--trend-n", dest="trend_n", type=str, help="comma list of sizes for the fraction trend")
     p.add_argument("--trend-samples", dest="trend_samples", type=int, help="draws per size in the trend")
     p.add_argument("--size-cut", dest="size_cut", type=int, help="locality cut k")
@@ -594,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=int, help="number of states (0 means 2^(n/2))")
     p.add_argument("--threshold", type=float, help="singular value cutoff for rank")
     p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    p.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
-    p.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
+    _add_pool(p)
     p.add_argument("--moment-draws", dest="moment_draws", type=int, help="ensemble draws for the moment average")
     p.set_defaults(func=cmd_gram)
     return parser

@@ -5,9 +5,14 @@ The Pauli expansion uses the block identity
     2 [[H1, H2], [H3, H4]] = 1 (H1+H4) + sz (H1-H4) + sx (H2+H3) + i sy (H2-H3)
 
 applied recursively on the leading tensor factor.  Implemented as one
-in-place butterfly pass per spin over a rank q tensor, the cost is
-O(dim^2 log dim) arithmetic instead of the 4^q trace inner products of
-the brute force method.
+butterfly pass per spin over a rank q tensor, the cost is O(dim^2 log dim)
+arithmetic instead of the 4^q trace inner products of the brute force
+method.  The inverse passes
+
+    [[H1, H2], [H3, H4]] = [[c1 + cz, cx - i cy], [cx + i cy, c1 - cz]]
+
+rebuild the matrix from its coefficients at the same cost, so a Majorana
+expansion is kept as one flat vector and truncated by zeroing entries.
 
 The Pauli-to-Majorana relabeling walks spins from the last tensor
 position to the first: a trailing odd count of X/Y letters means an odd
@@ -18,10 +23,11 @@ number of higher Majorana indices are present, which swaps the roles of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DenseOperator, PauliString, accumulate_string, hermitian_monomial
+from .pauli import DenseOperator, PauliString
 
 SPARSE_THRESHOLD = 1e-14
 
@@ -38,10 +44,25 @@ _PHASE_POW = {
 }
 
 
-def _tensor_decompose(a: np.ndarray):
+def _interleaved(q: int) -> list[int]:
+    """Axis order (r0, c0, r1, c1, ...) of a matrix reshaped to 2q binary axes."""
+    return [x for pair in zip(range(q), range(q, 2 * q)) for x in pair]
+
+
+def _butterfly(work: np.ndarray, q: int, combine) -> np.ndarray:
+    """One pass per spin: combine maps the 4 letter slices of a spin to 4 new ones."""
+    for ax in range(q):
+        m = work.reshape(4**ax, 4, -1)
+        out = np.empty_like(m)
+        for j, part in enumerate(combine(m[:, 0, :], m[:, 1, :], m[:, 2, :], m[:, 3, :])):
+            out[:, j, :] = part
+        work = out
+    return work.reshape(-1)
+
+
+def _tensor_decompose(a: np.ndarray) -> np.ndarray:
     """All 4^q Pauli coefficients of a dim x dim matrix, dim = 2^q.
 
-    Returns (flat coefficient array, measured arithmetic op count).
     Flat index: base 4 digits, spin 0 most significant, 0=I 1=X 2=Y 3=Z.
     """
     a = np.asarray(a, dtype=complex)
@@ -49,30 +70,20 @@ def _tensor_decompose(a: np.ndarray):
     if a.ndim != 2 or a.shape[1] != dim or dim & (dim - 1):
         raise ValueError(f"expected a square power-of-two matrix, got shape {a.shape}")
     q = dim.bit_length() - 1
-    if q == 0:
-        return a.reshape(1).copy(), 0
-    # interleave row and column bits: (r0, c0, r1, c1, ...) then merge pairs
-    work = a.reshape((2,) * (2 * q))
-    order = [x for pair in zip(range(q), range(q, 2 * q)) for x in pair]
-    work = np.ascontiguousarray(work.transpose(order)).reshape((4,) * q)
-    ops = 0
-    shape = work.shape
-    for ax in range(q):
-        m = work.reshape(4**ax, 4, -1)
-        a00, a01, a10, a11 = m[:, 0, :], m[:, 1, :], m[:, 2, :], m[:, 3, :]
-        out = np.empty_like(m)
-        out[:, 0, :] = (a00 + a11) * 0.5
-        out[:, 1, :] = (a01 + a10) * 0.5
-        out[:, 2, :] = (a01 - a10) * 0.5j
-        out[:, 3, :] = (a00 - a11) * 0.5
-        ops += 2 * work.size  # one add and one scale per output entry
-        work = out.reshape(shape)
-    return work.reshape(-1), ops
+    work = np.ascontiguousarray(a.reshape((2,) * (2 * q)).transpose(_interleaved(q)))
+    return _butterfly(work, q, lambda a00, a01, a10, a11: (
+        (a00 + a11) * 0.5, (a01 + a10) * 0.5, (a01 - a10) * 0.5j, (a00 - a11) * 0.5,
+    ))
 
 
-def measured_op_count(dim: int) -> int:
-    """Arithmetic operations one decomposition of a dim x dim matrix costs."""
-    return _tensor_decompose(np.zeros((dim, dim), dtype=complex))[1]
+def _tensor_reconstruct(flat: np.ndarray) -> DenseOperator:
+    """Inverse of _tensor_decompose: the matrix sum_P flat[P] P."""
+    q = (flat.size.bit_length() - 1) // 2
+    work = _butterfly(np.asarray(flat, dtype=complex), q, lambda c0, c1, c2, c3: (
+        c0 + c3, c1 - 1j * c2, c1 + 1j * c2, c0 - c3,
+    ))
+    work = work.reshape((2,) * (2 * q)).transpose(np.argsort(_interleaved(q)))
+    return np.ascontiguousarray(work).reshape(2**q, 2**q)
 
 
 def _flat_letters(index: int, q: int) -> tuple[str, ...]:
@@ -94,7 +105,7 @@ def pauli_decompose(a: DenseOperator, threshold: float = SPARSE_THRESHOLD):
     dict[PauliString, complex]
         a equals sum coeff * string.dense() within roundoff.
     """
-    flat, _ = _tensor_decompose(a)
+    flat = _tensor_decompose(a)
     q = int(np.log2(flat.size)) // 2
     keep = np.nonzero(np.abs(flat) > threshold)[0]
     return {PauliString(_flat_letters(int(k), q)): complex(flat[k]) for k in keep}
@@ -106,11 +117,13 @@ def _digit_table(q: int) -> np.ndarray:
     return np.stack([(idx >> (2 * (q - 1 - s))) & 3 for s in range(q)], axis=1).astype(np.int8)
 
 
-def _subset_data(q: int):
+@lru_cache(maxsize=None)
+def subset_data(q: int):
     """Per flat index: Majorana subset bitmask, size, and monomial phase.
 
     The phase is the unit making coefficient_of(bare string) equal
-    phase * coefficient_of(hermitian monomial).
+    phase * coefficient_of(hermitian monomial).  The fourth array is the
+    inverse of the masks: flat index by subset bitmask.
     """
     digits = _digit_table(q)
     xy = (digits == 1) | (digits == 2)
@@ -134,47 +147,38 @@ def _subset_data(q: int):
     # Hermitian normalization: sizes p = 2, 3 mod 4 get an extra i
     phase_pow += ((sizes * (sizes - 1) // 2) % 2 == 1).astype(np.int16)
     phases = np.array([1.0, 1.0j, -1.0, -1.0j])[phase_pow % 4]
-    return masks, sizes, phases
+    index = np.empty(4**q, dtype=np.int64)
+    index[masks] = np.arange(4**q)
+    return masks, sizes, phases, index
 
 
-_SUBSET_CACHE: dict[int, tuple] = {}
+def flat_index(indices, n: int) -> int:
+    """Position of the monomial on ascending Majorana indices in a coefficient vector."""
+    indices = tuple(indices)
+    if list(indices) != sorted(set(indices)) or not all(0 <= i < n for i in indices):
+        raise ValueError(f"indices must be strictly ascending in range({n}), got {indices}")
+    return int(subset_data(n // 2)[3][sum(1 << i for i in indices)])
 
 
-def subset_data(q: int):
-    if q not in _SUBSET_CACHE:
-        _SUBSET_CACHE[q] = _subset_data(q)
-    return _SUBSET_CACHE[q]
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionExpansion:
     """Real coefficients over Hermitian normalized Majorana monomials.
 
-    A = sum over index subsets I of coefficients[I] * m_I where m_I is
-    hermitian_monomial(I, n); subsets are ascending index tuples.
+    A = sum over index subsets I of coefficients[flat_index(I, n)] * m_I
+    where m_I is hermitian_monomial(I, n).  coefficients holds one entry
+    per subset, 2^n in all, in the flat Pauli order of _tensor_decompose;
+    subset_data(n // 2) gives each entry's mask, size and phase.
     """
 
     n: int
-    coefficients: dict[tuple[int, ...], float]
+    coefficients: np.ndarray
 
     def coefficient(self, indices) -> float:
-        return self.coefficients.get(tuple(indices), 0.0)
+        return float(self.coefficients[flat_index(indices, self.n)])
 
     def weight(self) -> float:
         """Sum of squared coefficients; tr(A^2)/2^{n/2} for Hermitian A."""
-        c = np.fromiter(self.coefficients.values(), dtype=float, count=len(self.coefficients))
-        return float(np.dot(c, c))
+        return float(np.dot(self.coefficients, self.coefficients))
 
 
 def majorana_coefficients(
@@ -189,7 +193,7 @@ def majorana_coefficients(
     n : int
         Majorana fermion count, even.
     threshold : float
-        Sparse storage cut on |coefficient|.
+        Coefficients with |c| <= threshold are stored as exact zeros.
     imag_tol : float
         Largest tolerated imaginary part; a Hermitian input yields real
         coefficients, anything above this raises.
@@ -205,47 +209,37 @@ def majorana_coefficients(
     dim = 2 ** (n // 2)
     if a.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)} for n={n}, got {a.shape}")
-    flat, _ = _tensor_decompose(a)
-    masks, _, phases = subset_data(n // 2)
-    coeffs = flat * np.conj(phases)
-    worst = float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0
+    _, _, phases, _ = subset_data(n // 2)
+    coeffs = _tensor_decompose(a) * np.conj(phases)
+    worst = float(np.max(np.abs(coeffs.imag)))
     if worst > imag_tol * max(1.0, float(np.max(np.abs(coeffs)))):
         raise ValueError(f"non Hermitian input: imaginary coefficient part {worst:.3e}")
-    keep = np.nonzero(np.abs(coeffs) > threshold)[0]
-    out = {_mask_to_indices(int(masks[k])): float(coeffs[k].real) for k in keep}
-    return FermionExpansion(n, out)
+    return FermionExpansion(n, np.where(np.abs(coeffs) > threshold, coeffs.real, 0.0))
 
 
 def reconstruct(expansion: FermionExpansion) -> DenseOperator:
     """Dense operator from a Majorana expansion."""
-    dim = 2 ** (expansion.n // 2)
-    out = np.zeros((dim, dim), dtype=complex)
-    for indices, c in expansion.coefficients.items():
-        accumulate_string(out, hermitian_monomial(indices, expansion.n), c)
-    return out
+    _, _, phases, _ = subset_data(expansion.n // 2)
+    return _tensor_reconstruct(expansion.coefficients * phases)
+
+
+def _size_weights(squares: np.ndarray, n: int) -> np.ndarray:
+    """Per monomial size 0..n, the sum of squares given in flat order."""
+    _, sizes, _, _ = subset_data(n // 2)
+    return np.bincount(sizes, weights=squares, minlength=n + 1)
 
 
 def size_spectrum(expansion: FermionExpansion) -> np.ndarray:
     """Squared coefficient weight per monomial size, indices 0..n."""
-    out = np.zeros(expansion.n + 1)
-    for indices, c in expansion.coefficients.items():
-        out[len(indices)] += c * c
-    return out
-
-
-def size_spectrum_of_matrix(a: DenseOperator, n: int) -> np.ndarray:
-    """size_spectrum straight from the dense operator, no dict detour."""
-    dim = 2 ** (n // 2)
-    if a.shape != (dim, dim):
-        raise ValueError(f"expected shape {(dim, dim)} for n={n}, got {a.shape}")
-    flat, _ = _tensor_decompose(a)
-    _, sizes, _ = subset_data(n // 2)
-    return np.bincount(sizes, weights=np.abs(flat) ** 2, minlength=n + 1)
+    return _size_weights(expansion.coefficients**2, expansion.n)
 
 
 def nonlocal_fraction(a: DenseOperator, n: int, k: int = 4) -> float:
     """Frobenius weight fraction carried by monomials of size > k."""
-    s = size_spectrum_of_matrix(a, n)
+    dim = 2 ** (n // 2)
+    if a.shape != (dim, dim):
+        raise ValueError(f"expected shape {(dim, dim)} for n={n}, got {a.shape}")
+    s = _size_weights(np.abs(_tensor_decompose(a)) ** 2, n)
     total = float(np.sum(s))
     if total == 0.0:
         raise ValueError("operator has zero weight")
@@ -258,8 +252,8 @@ def truncate_local(
     """Split an expansion into dense operators of size <= k and > k.
 
     When the original dense operator is supplied the nonlocal part is
-    formed as the exact remainder original - local, which is cheaper
-    and equal to the accumulated tail up to roundoff.
+    formed as the exact remainder original - local, which saves one
+    reconstruction and equals the reconstructed tail up to roundoff.
 
     Returns
     -------
@@ -267,17 +261,11 @@ def truncate_local(
     """
     if k < 0:
         raise ValueError(f"size cut must be nonnegative, got {k}")
-    dim = 2 ** (expansion.n // 2)
-    local = np.zeros((dim, dim), dtype=complex)
-    for indices, c in expansion.coefficients.items():
-        if len(indices) <= k:
-            accumulate_string(local, hermitian_monomial(indices, expansion.n), c)
-    if original is not None:
-        if original.shape != (dim, dim):
-            raise ValueError(f"original has shape {original.shape}, expected {(dim, dim)}")
-        return local, original - local
-    other = np.zeros((dim, dim), dtype=complex)
-    for indices, c in expansion.coefficients.items():
-        if len(indices) > k:
-            accumulate_string(other, hermitian_monomial(indices, expansion.n), c)
-    return local, other
+    n, c = expansion.n, expansion.coefficients
+    _, sizes, _, _ = subset_data(n // 2)
+    local = reconstruct(FermionExpansion(n, np.where(sizes <= k, c, 0.0)))
+    if original is None:
+        return local, reconstruct(FermionExpansion(n, np.where(sizes > k, c, 0.0)))
+    if original.shape != local.shape:
+        raise ValueError(f"original has shape {original.shape}, expected {local.shape}")
+    return local, original - local

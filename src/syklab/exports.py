@@ -7,12 +7,13 @@ All tables carry a one-line header naming their columns.
 
 import hashlib
 import json
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
 from .correlators import CorrelatorSeries
-from .decompose import FermionExpansion
+from .decompose import FermionExpansion, flat_index, subset_data
 from .ensemble import CouplingTensor, coupling_subsets
 from .metropolis import TrajectoryRow
 from .poissonize import EigenvaluePool
@@ -84,18 +85,6 @@ def read_spectrum(path) -> dict[str, np.ndarray]:
     return {tag: np.array(vals) for tag, vals in out.items()}
 
 
-def write_sff(path, beta: float, times, values) -> None:
-    rows = ((_fmt(beta), _fmt(t), _fmt(v)) for t, v in zip(times, values))
-    _write_table(path, "beta,t,value", rows)
-
-
-def read_sff(path):
-    """Column arrays (beta, t, value)."""
-    rows = _read_table(path, "beta,t,value")
-    cols = np.array([[float(x) for x in row] for row in rows])
-    return cols[:, 0], cols[:, 1], cols[:, 2]
-
-
 def write_series(path, series) -> None:
     """One file holds any number of series; rows group by beta."""
     if isinstance(series, CorrelatorSeries):
@@ -158,17 +147,27 @@ def read_pool(path) -> dict[str, np.ndarray]:
 
 
 def write_expansion(path, expansion: FermionExpansion) -> None:
-    """Dash-separated ascending indices; the identity row has empty indices."""
-    items = sorted(expansion.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    rows = (("-".join(str(i) for i in idx), _fmt(v)) for idx, v in items)
+    """Nonzero coefficients by monomial size, then by lexicographic indices.
+
+    Indices are dash-separated and ascending; the identity row has empty
+    indices.
+    """
+    n = expansion.n
+    masks = np.arange(2**n)
+    # same-size index tuples sort lexicographically as their bit-reversed masks sort descending
+    reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
+    order = np.lexsort((-reversed_masks, np.bitwise_count(masks)))
+    values = expansion.coefficients[subset_data(n // 2)[3][order]].tolist()
+    subsets = chain.from_iterable(combinations(range(n), size) for size in range(n + 1))
+    rows = (("-".join(map(str, idx)), _fmt(v)) for idx, v in zip(subsets, values) if v != 0.0)
     _write_table(path, "indices,value", rows)
 
 
 def read_expansion(path, n: int) -> FermionExpansion:
-    coefficients = {}
+    coefficients = np.zeros(2**n)
     for idx, value in _read_table(path, "indices,value"):
-        indices = tuple(int(i) for i in idx.split("-")) if idx else ()
-        coefficients[indices] = float(value)
+        indices = (int(i) for i in idx.split("-")) if idx else ()
+        coefficients[flat_index(indices, n)] = float(value)
     return FermionExpansion(n=n, coefficients=coefficients)
 
 

@@ -81,9 +81,6 @@ class PauliString:
 
     __rmul__ = __mul__
 
-    def dagger(self) -> "PauliString":
-        return PauliString(self.letters, self.phase.conjugate())
-
     @property
     def x_mask(self) -> int:
         """Bitmask of spins carrying X or Y, in the basis bit convention."""

@@ -42,6 +42,13 @@ def test_missing_out_is_usage_error():
     assert main(["sample", "--n", "8", "--seed", "1"]) == 2
 
 
+def test_jobs_is_rejected_where_no_pool_is_built(tmp_path):
+    for command in ("sample", "metropolis"):
+        argv = [command, "--n", "8", "--seed", "1", "--jobs", "2", "--out", str(tmp_path / command)]
+        assert main(argv) == 2
+        assert not (tmp_path / command).exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=8\nseed=7\nmember=0\n")

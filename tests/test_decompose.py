@@ -1,7 +1,6 @@
 """Decomposition tests against the brute force trace inner product oracle."""
 
 import itertools
-from math import log2
 
 import numpy as np
 import pytest
@@ -10,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from syklab.decompose import (
     FermionExpansion,
     majorana_coefficients,
-    measured_op_count,
     nonlocal_fraction,
     pauli_decompose,
     reconstruct,
     size_spectrum,
-    size_spectrum_of_matrix,
     truncate_local,
 )
 from syklab.ensemble import EnsembleParams, build_hamiltonian, coupling_subsets, sample_couplings
@@ -48,6 +45,10 @@ def oracle_majorana_coefficients(a, n):
             if abs(c) > 1e-14:
                 out[indices] = c
     return out
+
+
+def all_subsets(n):
+    return [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
 
 
 def random_hermitian(dim, seed):
@@ -101,10 +102,10 @@ def test_majorana_coefficients_match_trace_oracle():
                 a += c * hermitian_monomial(indices, n).dense()
     exp = majorana_coefficients(a, n)
     oracle = oracle_majorana_coefficients(a, n)
-    assert set(exp.coefficients) == set(oracle)
+    assert {s for s in all_subsets(n) if exp.coefficient(s) != 0.0} == set(oracle)
     for indices, c in oracle.items():
-        assert exp.coefficients[indices] == pytest.approx(c.real, abs=1e-10)
-        assert exp.coefficients[indices] == pytest.approx(wanted[indices], abs=1e-10)
+        assert exp.coefficient(indices) == pytest.approx(c.real, abs=1e-10)
+        assert exp.coefficient(indices) == pytest.approx(wanted[indices], abs=1e-10)
 
 
 def test_majorana_coefficients_recover_couplings():
@@ -113,9 +114,12 @@ def test_majorana_coefficients_recover_couplings():
     h = build_hamiltonian(coup)
     exp = majorana_coefficients(h, 8)
     # only size 4 subsets appear and each coefficient is minus the coupling
-    assert all(len(i) == 4 for i in exp.coefficients)
+    assert all(len(s) == 4 for s in all_subsets(8) if exp.coefficient(s) != 0.0)
     for subset in coupling_subsets(8):
         assert exp.coefficient(subset) == pytest.approx(-coup.value(subset), abs=1e-12)
+    for bad in ((1, 0, 2, 3), (2, 2), (7, 8)):
+        with pytest.raises(ValueError):
+            exp.coefficient(bad)
 
 
 def test_parseval_identity():
@@ -140,14 +144,18 @@ def test_reconstruct_roundtrip():
     assert np.max(np.abs(reconstruct(exp) - a)) < 1e-10
 
 
-def test_size_spectrum_dict_and_matrix_paths_agree():
+def test_size_spectrum_matches_trace_oracle():
+    n = 8
+    a = random_hermitian(16, 23)
+    want = np.zeros(n + 1)
+    for indices, c in oracle_majorana_coefficients(a, n).items():
+        want[len(indices)] += c.real**2
+    assert np.allclose(size_spectrum(majorana_coefficients(a, n)), want, atol=1e-12)
+    assert nonlocal_fraction(a, n) == pytest.approx(np.sqrt(want[5:].sum() / want.sum()), abs=1e-12)
     h = build_hamiltonian(sample_couplings(EnsembleParams(n=10, seed=15)))
-    exp = majorana_coefficients(h, 10)
-    s_dict = size_spectrum(exp)
-    s_mat = size_spectrum_of_matrix(h, 10)
-    assert np.allclose(s_dict, s_mat, atol=1e-12)
-    assert s_mat.shape == (11,)
-    assert np.argmax(s_mat) == 4
+    s = size_spectrum(majorana_coefficients(h, 10))
+    assert s.shape == (11,)
+    assert np.argmax(s) == 4
 
 
 def test_nonlocal_fraction_zero_for_four_local():
@@ -156,30 +164,26 @@ def test_nonlocal_fraction_zero_for_four_local():
 
 
 def test_truncate_local_partition():
-    a = random_hermitian(8, 22)
-    exp = majorana_coefficients(a, 6)
-    local, nonloc = truncate_local(exp, k=2)
-    assert np.max(np.abs(local + nonloc - a)) < 1e-9
-    # explicit accumulation path agrees with the remainder path
-    local2, nonloc2 = truncate_local(exp, k=2, original=a)
-    assert np.max(np.abs(local - local2)) < 1e-12
-    assert np.max(np.abs(nonloc - nonloc2)) < 1e-9
-    # local part carries exactly the small subsets
-    exp_local = majorana_coefficients(local, 6)
-    assert all(len(i) <= 2 for i in exp_local.coefficients)
-    everything, nothing = truncate_local(exp, k=6)
-    assert np.max(np.abs(everything - a)) < 1e-9
-    assert np.max(np.abs(nothing)) < 1e-9
+    n = 8
+    a = random_hermitian(16, 22)
+    exp = majorana_coefficients(a, n)
+    oracle = oracle_majorana_coefficients(a, n)
+    for k in (0, 2, 4, 6, 8):
+        local, nonloc = truncate_local(exp, k=k)
+        # the local part is the projection onto the monomials of size <= k
+        want = sum(c.real * hermitian_monomial(i, n).dense() for i, c in oracle.items() if len(i) <= k)
+        assert np.max(np.abs(local - want)) < 1e-9
+        assert np.max(np.abs(local + nonloc - a)) < 1e-9
+        # reconstructed tail agrees with the remainder path
+        local2, nonloc2 = truncate_local(exp, k=k, original=a)
+        assert np.max(np.abs(local - local2)) < 1e-12
+        assert np.max(np.abs(nonloc - nonloc2)) < 1e-9
+        exp_local = majorana_coefficients(local, n)
+        assert all(len(s) <= k for s in all_subsets(n) if exp_local.coefficient(s) != 0.0)
+    assert np.max(np.abs(local - a)) < 1e-9
+    assert np.max(np.abs(nonloc)) < 1e-9
     with pytest.raises(ValueError):
         truncate_local(exp, k=-1)
-
-
-def test_operation_count_scales_as_n2_logn():
-    sizes = [32, 64, 128, 256]
-    counts = {n: measured_op_count(n) for n in sizes}
-    c = counts[32] / (32**2 * log2(32))
-    for n in sizes:
-        assert counts[n] <= 1.05 * c * n**2 * log2(n)
 
 
 @given(st.integers(0, 10_000))
@@ -193,5 +197,5 @@ def test_roundtrip_random_small(seed):
 
 
 def test_expansion_weight_empty():
-    exp = FermionExpansion(6, {})
+    exp = FermionExpansion(6, np.zeros(2**6))
     assert exp.weight() == 0.0

@@ -15,7 +15,6 @@ from syklab.exports import (
     read_manifest,
     read_pool,
     read_series,
-    read_sff,
     read_spectrum,
     read_trajectory,
     write_checkpoint,
@@ -26,13 +25,12 @@ from syklab.exports import (
     write_manifest,
     write_pool,
     write_series,
-    write_sff,
     write_spectrum,
     write_trajectory,
 )
 from syklab.metropolis import Schedule, TrajectoryRow, run_schedule
 from syklab.poissonize import build_pool
-from syklab.spectral import diagonalize, sff
+from syklab.spectral import diagonalize
 
 
 PARAMS = EnsembleParams(n=8, seed=3)
@@ -81,18 +79,6 @@ def test_spectrum_round_trip(tmp_path):
         assert np.array_equal(back[s.sector], s.eigenvalues)
 
 
-def test_sff_round_trip(tmp_path):
-    spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
-    times = np.linspace(0.0, 30.0, 64)
-    values = sff(spectra[0].eigenvalues, 1.0, times)
-    path = tmp_path / "sff.csv"
-    write_sff(path, 1.0, times, values)
-    beta, t, v = read_sff(path)
-    assert np.all(beta == 1.0)
-    assert np.array_equal(t, times)
-    assert np.array_equal(v, values)
-
-
 def test_series_round_trip_groups_by_beta(tmp_path):
     times = np.linspace(0.0, 5.0, 16)
     rng = np.random.default_rng(5)
@@ -136,9 +122,11 @@ def test_expansion_round_trip_and_quartic_slice(tmp_path):
     path = tmp_path / "expansion.csv"
     write_expansion(path, expansion)
     back = read_expansion(path, n=6)
-    assert set(back.coefficients) == set(expansion.coefficients)
-    for idx, value in expansion.coefficients.items():
-        assert back.coefficients[idx] == value
+    assert np.array_equal(back.coefficients, expansion.coefficients)
+    # rows run by monomial size, then lexicographically by indices
+    rows = path.read_text().splitlines()[1:]
+    keys = [tuple(int(i) for i in row.split(",")[0].split("-") if i) for row in rows]
+    assert keys == sorted(keys, key=lambda k: (len(k), k))
     # k=4 rows mirror the coefficient file: H carries -J per quartic monomial
     coeff_path = tmp_path / "coefficients.csv"
     write_coefficients(coeff_path, couplings)
