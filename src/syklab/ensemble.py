@@ -136,44 +136,38 @@ def sample_couplings(params: EnsembleParams, member: int = 0) -> CouplingTensor:
 class HamiltonianBuilder:
     """Reusable couplings-to-dense-matrix map for a fixed fermion count.
 
-    Precomputes the column action of every four body monomial once.  For
-    small systems the map is stored as one dense (terms, dim*dim) matrix
-    so a build is a single matvec; larger systems fall back to scattered
-    accumulation.
+    Each four body monomial sends column b to row b ^ x_mask, so the
+    monomials sharing an x_mask fill the same dim entries of H and no two
+    groups write the same entry.  Per group, set up keeps the flat target
+    indices and the (terms, dim) column values, zero padded to the largest
+    group; a build is one batched matvec into a zeroed matrix, no scatter-add.
     """
-
-    _DENSE_BUDGET = 1 << 27  # complex entries, 2 GiB guard
 
     def __init__(self, n: int):
         if n % 2 != 0 or n < P_BODY:
             raise ValueError(f"fermion count must be even and at least {P_BODY}, got {n}")
         self.n = n
         self.dim = 2 ** (n // 2)
-        subsets = coupling_subsets(n)
+        strings = [hermitian_monomial(s, n) for s in coupling_subsets(n)]
+        x_masks = np.array([m.x_mask for m in strings])
+        masks = np.unique(x_masks)
+        groups = [np.flatnonzero(x_masks == x) for x in masks]
+        width = max(len(terms) for terms in groups)
+        # padding slots read term 0 against zero values, so they add exact zeros
+        self._terms = np.zeros((len(groups), width), dtype=np.int64)
+        self._vals = np.zeros((len(groups), width, self.dim), dtype=complex)
+        for g, terms in enumerate(groups):
+            self._terms[g, : len(terms)] = terms
+            self._vals[g, : len(terms)] = [strings[k].column_action()[1] for k in terms]
         cols = np.arange(self.dim)
-        rows = np.empty((len(subsets), self.dim), dtype=np.int64)
-        vals = np.empty((len(subsets), self.dim), dtype=complex)
-        for k, s in enumerate(subsets):
-            r, v = hermitian_monomial(s, n).column_action()
-            rows[k] = r
-            vals[k] = v
-        self._flat = rows * self.dim + cols[None, :]
-        self._vals = vals
-        self._dense_map = None
-        if len(subsets) * self.dim * self.dim <= self._DENSE_BUDGET:
-            dense = np.zeros((len(subsets), self.dim * self.dim), dtype=complex)
-            k_idx = np.repeat(np.arange(len(subsets)), self.dim)
-            dense[k_idx, self._flat.ravel()] = vals.ravel()
-            self._dense_map = dense
+        self._flat = ((cols ^ masks[:, None]) * self.dim + cols).ravel()
 
     def build(self, couplings: CouplingTensor) -> DenseOperator:
         if couplings.n != self.n:
             raise ValueError(f"couplings are for n={couplings.n}, builder is for n={self.n}")
         coeff = -couplings.values  # i^{p/2} = -1 at p = 4
-        if self._dense_map is not None:
-            return (coeff @ self._dense_map).reshape(self.dim, self.dim)
         out = np.zeros(self.dim * self.dim, dtype=complex)
-        np.add.at(out, self._flat.ravel(), (coeff[:, None] * self._vals).ravel())
+        out[self._flat] = (coeff[self._terms][:, None, :] @ self._vals).ravel()
         return out.reshape(self.dim, self.dim)
 
 

@@ -13,6 +13,7 @@ automatic accept, so stream positions never depend on outcomes.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,11 @@ class MetropolisResult:
     target_trace: float
 
 
+@lru_cache(maxsize=8)  # a chain asks for the same size every step
+def _pair_indices(size: int):
+    return np.triu_indices(size, k=1)
+
+
 def objective_from_eigenvalues(eigenvalues: np.ndarray, beta_d: float) -> float:
     """-beta_d sum_{i<j} ln|l_i - l_j| with degenerate pairs clamped."""
     ev = np.asarray(eigenvalues, dtype=np.float64)
@@ -84,7 +90,7 @@ def objective_from_eigenvalues(eigenvalues: np.ndarray, beta_d: float) -> float:
     floor = LOG_CLAMP_FACTOR * bandwidth
     if floor == 0.0:
         floor = np.finfo(np.float64).tiny
-    i, j = np.triu_indices(ev.size, k=1)
+    i, j = _pair_indices(ev.size)
     gaps = np.abs(ev[i] - ev[j])
     return float(-beta_d * np.sum(np.log(np.maximum(gaps, floor))))
 

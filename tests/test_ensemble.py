@@ -6,6 +6,7 @@ from scipy.stats import kstest
 from syklab.ensemble import (
     CouplingTensor,
     EnsembleParams,
+    HamiltonianBuilder,
     build_hamiltonian,
     coupling_index,
     coupling_subsets,
@@ -16,7 +17,7 @@ from syklab.ensemble import (
     sample_couplings,
     trace_h_squared,
 )
-from syklab.pauli import sector_split
+from syklab.pauli import accumulate_string, hermitian_monomial, sector_split
 
 
 def test_variance_value_n8():
@@ -83,6 +84,25 @@ def test_hamiltonian_is_hermitian_and_parity_blocked():
     h = build_hamiltonian(sample_couplings(params))
     assert np.max(np.abs(h - h.conj().T)) < 1e-13
     sector_split(h)  # raises if off-sector weight leaks
+
+
+@pytest.mark.parametrize("n", [8, 10, 18])
+def test_build_matches_monomial_sum_oracle(n):
+    # H = sum_k -J_k m_k, accumulated one monomial at a time
+    coup = sample_couplings(EnsembleParams(n=n, seed=5), member=1)
+    want = np.zeros((2 ** (n // 2),) * 2, dtype=complex)
+    for s, j in zip(coupling_subsets(n), coup.values):
+        accumulate_string(want, hermitian_monomial(s, n), -j)
+    np.testing.assert_allclose(build_hamiltonian(coup), want, rtol=0.0, atol=1e-14)
+
+
+def test_builder_keeps_no_dense_map():
+    # a dense (C(16,4), 4^8) complex couplings-to-H map would take 1.9 GB
+    kept = 0
+    for value in vars(HamiltonianBuilder(16)).values():
+        for a in value if isinstance(value, (list, tuple)) else [value]:
+            kept += a.nbytes if isinstance(a, np.ndarray) else 0
+    assert kept < 16e6
 
 
 def test_trace_identity_against_dense():
