@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from syklab.decompose import majorana_coefficients, nonlocal_fraction, size_spectrum
-from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
-from syklab.poissonize import build_pool, poissonize
+from syklab.ensemble import EnsembleParams
+from syklab.poissonize import build_pool, poissonize_member
 
 
 def sample_fractions(n, seed, samples, pool_members, pool_start):
@@ -21,8 +21,7 @@ def sample_fractions(n, seed, samples, pool_members, pool_start):
     fractions = np.empty(samples)
     shares = np.zeros(n + 1)
     for m in range(samples):
-        h = build_hamiltonian(sample_couplings(params, m))
-        pair = poissonize(h, pool, member_rng(seed + 1, m))
+        pair = poissonize_member(params, pool, m, m)
         fractions[m] = nonlocal_fraction(pair.poissonized, n)
         weights = size_spectrum(majorana_coefficients(pair.poissonized, n))
         shares += weights / weights.sum()

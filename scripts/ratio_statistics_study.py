@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from syklab.decompose import majorana_coefficients, truncate_local
-from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
-from syklab.poissonize import build_pool, poissonize
+from syklab.ensemble import EnsembleParams
+from syklab.poissonize import build_pool, poissonize_member
 from syklab.spectral import (
     diagonalize,
     gap_ratios,
@@ -34,8 +34,7 @@ def statistics_for(n, seed, samples, pool_members, pool_start):
     pool = build_pool(params, pool_members, start_member=pool_start)
     rows = np.empty((samples, 3))
     for m in range(samples):
-        h = build_hamiltonian(sample_couplings(params, m))
-        pair = poissonize(h, pool, member_rng(seed + 1, m))
+        pair = poissonize_member(params, pool, m, m)
         local, _ = truncate_local(
             majorana_coefficients(pair.poissonized, n), k=4, original=pair.poissonized
         )

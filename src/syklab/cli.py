@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
 import argparse
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -43,7 +45,7 @@ from .exports import (
 )
 from .metropolis import Schedule, run_schedule
 from .pauli import majorana_matrix
-from .poissonize import build_pool, poissonize
+from .poissonize import build_pool, poissonize, poissonize_member
 from .spectral import (
     combined_eigenvalues,
     diagonalize,
@@ -77,23 +79,6 @@ def _parse_stages(text: str) -> tuple[tuple[float, int], ...]:
         beta, _, steps = tok.partition(":")
         stages.append((float(beta), int(steps)))
     return tuple(stages)
-
-
-def _setting(args, cfg: dict, name: str, cast, default):
-    """Flag wins over config file wins over built-in default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        raw = cfg[name]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
-
-
-def _load_cfg(args) -> dict:
-    return read_config(args.config) if args.config else {}
 
 
 def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsembleParams:
@@ -149,54 +134,35 @@ def _sector_ratio_pool(spectra_or_levels) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 14),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "member": _setting(args, cfg, "member", int, 0),
-        "out": _setting(args, cfg, "out", str, None),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def _pool(params: EnsembleParams, s: dict):
+    return build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
+
+
+# Each command below takes its resolved settings `s`, the ensemble built
+# from them, the output directory and the --large confirmation, and
+# returns the names of the data files it wrote.
+
+
+def cmd_sample(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     couplings = sample_couplings(params, member=s["member"])
     spectra = diagonalize(build_hamiltonian(couplings), need_vectors=False)
     write_coefficients(os.path.join(out, "coefficients.csv"), couplings)
     write_spectrum(os.path.join(out, "spectrum.csv"), spectra)
     total = sum(sec.eigenvalues.size for sec in spectra)
     print(f"n={s['n']} member={s['member']}: {couplings.values.size} couplings, {total} eigenvalues")
-    return _finish(out, s, ["coefficients.csv", "spectrum.csv"])
+    return ["coefficients.csv", "spectrum.csv"]
 
 
-def cmd_poissonize(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 22 if args.large else 14),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "samples": _setting(args, cfg, "samples", int, 16 if args.large else 64),
-        "pool_members": _setting(args, cfg, "pool_members", int, 256 if args.large else 128),
-        "pool_start": _setting(args, cfg, "pool_start", int, 1000),
-        "bins": _setting(args, cfg, "bins", int, 24),
-        "identity_draw": _setting(args, cfg, "identity_draw", bool, False),
-        "no_replace": _setting(args, cfg, "no_replace", bool, False),
-        "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def cmd_poissonize(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     n = s["n"]
-    pool = build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
+    pool = _pool(params, s)
     write_pool(os.path.join(out, "pool.csv"), pool)
 
     orig, poiss, reloc = [], [], []
     delta_rel, nonlocal_fracs = [], []
     for m in range(s["samples"]):
-        h = build_hamiltonian(sample_couplings(params, member=m))
-        pair = poissonize(
-            h, pool, member_rng(s["seed"] + 1, m),
-            replace=not s["no_replace"], identity_draw=s["identity_draw"],
+        pair = poissonize_member(
+            params, pool, m, m, replace=not s["no_replace"], identity_draw=s["identity_draw"],
         )
         orig.append(_sector_ratio_pool(pair.spectra))
         poiss.append(_sector_ratio_pool(pair.replaced.values()))
@@ -237,48 +203,27 @@ def cmd_poissonize(args) -> int:
     _write_stats(os.path.join(out, "stats.csv"), rows)
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    return _finish(out, s, [
+    return [
         "pool.csv", "ratio_hist_original.csv", "ratio_hist_poissonized.csv",
         "ratio_hist_relocalized.csv", "ratio_hist_reference.csv", "stats.csv",
-    ])
+    ]
 
 
-def cmd_correlators(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 14),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "member": _setting(args, cfg, "member", int, 0),
-        "betas": _setting(args, cfg, "betas", str, "0,1,2,3"),
-        "t_max": _setting(args, cfg, "t_max", float, 10.0),
-        "t_points": _setting(args, cfg, "t_points", int, 512),
-        "otoc_pair": _setting(args, cfg, "otoc_pair", str, "1,2"),
-        "two_point": _setting(args, cfg, "two_point", str, ""),
-        "coefficients": _setting(args, cfg, "coefficients", str, ""),
-        "draw_stream": _setting(args, cfg, "draw_stream", int, 0),
-        "pool_members": _setting(args, cfg, "pool_members", int, 128),
-        "pool_start": _setting(args, cfg, "pool_start", int, 1000),
-        "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def cmd_correlators(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     n = s["n"]
     betas = _parse_floats(s["betas"])
     a, b = (int(x) for x in s["otoc_pair"].split(","))
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
 
-    h0 = build_hamiltonian(sample_couplings(params, member=s["member"]))
-    s0 = diagonalize(h0)
     if s["coefficients"]:
+        h0 = build_hamiltonian(sample_couplings(params, member=s["member"]))
         h1 = build_hamiltonian(read_coefficients(s["coefficients"]))
         modified_tag = "modified"
     else:
-        pool = build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
-        pair = poissonize(h0, pool, member_rng(s["seed"] + 1, s["draw_stream"]))
-        h1 = pair.poissonized
+        pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
+        h0, h1 = pair.original, pair.poissonized
         modified_tag = "poissonized"
+    s0 = diagonalize(h0)
     s1 = diagonalize(h1)
 
     files = []
@@ -316,36 +261,16 @@ def cmd_correlators(args) -> int:
     files.append("deviation.csv")
     worst = max(dev for _, _, dev in deviations)
     print(f"worst deviation vs {modified_tag}: {worst:.4f} over {len(deviations)} series")
-    return _finish(out, s, files)
+    return files
 
 
-def cmd_decompose(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 14),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "member": _setting(args, cfg, "member", int, 0),
-        "draw_stream": _setting(args, cfg, "draw_stream", int, 0),
-        "pool_members": _setting(args, cfg, "pool_members", int, 128),
-        "pool_start": _setting(args, cfg, "pool_start", int, 1000),
-        "trend_n": _setting(args, cfg, "trend_n", str, ""),
-        "trend_samples": _setting(args, cfg, "trend_samples", int, 16),
-        "size_cut": _setting(args, cfg, "size_cut", int, 4),
-        "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def cmd_decompose(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     n, k = s["n"], s["size_cut"]
-
-    h = build_hamiltonian(sample_couplings(params, member=s["member"]))
-    pool = build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
-    pair = poissonize(h, pool, member_rng(s["seed"] + 1, s["draw_stream"]))
+    pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
 
     files = []
     stats = []
-    for tag, op in (("original", h), ("poissonized", pair.poissonized)):
+    for tag, op in (("original", pair.original), ("poissonized", pair.poissonized)):
         expansion = majorana_coefficients(op, n)
         parseval = abs(expansion.weight() - float(np.trace(op @ op).real) / op.shape[0])
         rel = parseval / expansion.weight()
@@ -370,13 +295,12 @@ def cmd_decompose(args) -> int:
         rows = []
         prev = None
         for nn in sizes_list:
-            p_nn = _make_params(nn, s["j_scale"], s["seed"], args.large)
-            pool_nn = build_pool(p_nn, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
-            fracs = []
-            for m in range(s["trend_samples"]):
-                hm = build_hamiltonian(sample_couplings(p_nn, member=m))
-                pm = poissonize(hm, pool_nn, member_rng(s["seed"] + 1, m))
-                fracs.append(nonlocal_fraction(pm.poissonized, nn, k))
+            p_nn = _make_params(nn, s["j_scale"], s["seed"], large)
+            pool_nn = _pool(p_nn, s)
+            fracs = [
+                nonlocal_fraction(poissonize_member(p_nn, pool_nn, m, m).poissonized, nn, k)
+                for m in range(s["trend_samples"])
+            ]
             mean = float(np.mean(fracs))
             rows.append((nn, len(fracs), mean, 0.0 if prev is None else mean / prev, 2.0 ** (-nn / 4.0)))
             prev = mean
@@ -389,27 +313,10 @@ def cmd_decompose(args) -> int:
 
     _write_stats(os.path.join(out, "stats.csv"), stats)
     files.append("stats.csv")
-    return _finish(out, s, files)
+    return files
 
 
-def cmd_metropolis(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 10),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "member": _setting(args, cfg, "member", int, 0),
-        "chain_stream": _setting(args, cfg, "chain_stream", int, 10 ** 6),
-        "sigma0": _setting(args, cfg, "sigma0", float, 0.001),
-        "stages": _setting(args, cfg, "stages", str, "0.5:20000,1.0:20000,1.5:20000,2.0:20000"),
-        "window": _setting(args, cfg, "window", int, 100),
-        "checkpoint_every": _setting(args, cfg, "checkpoint_every", int, 1000),
-        "resume": _setting(args, cfg, "resume", str, ""),
-        "per_sector": _setting(args, cfg, "per_sector", bool, False),
-        "out": _setting(args, cfg, "out", str, None),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def cmd_metropolis(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     schedule = Schedule(stages=_parse_stages(s["stages"]), window=s["window"])
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
@@ -445,37 +352,17 @@ def cmd_metropolis(args) -> int:
     files = ["coefficients.csv", "trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv", "stats.csv"]
     if os.path.exists(checkpoint_path):
         files.append("checkpoint.json")
-    return _finish(out, s, files)
+    return files
 
 
-def cmd_gram(args) -> int:
-    cfg = _load_cfg(args)
-    s = {
-        "n": _setting(args, cfg, "n", int, 10),
-        "j_scale": _setting(args, cfg, "j_scale", float, 1.0),
-        "seed": _setting(args, cfg, "seed", int, 42),
-        "member": _setting(args, cfg, "member", int, 0),
-        "beta": _setting(args, cfg, "beta", float, 1.0),
-        "t1": _setting(args, cfg, "t1", float, 50.0),
-        "omega": _setting(args, cfg, "omega", int, 0),
-        "threshold": _setting(args, cfg, "threshold", float, 1e-8),
-        "draw_stream": _setting(args, cfg, "draw_stream", int, 0),
-        "pool_members": _setting(args, cfg, "pool_members", int, 128),
-        "pool_start": _setting(args, cfg, "pool_start", int, 1000),
-        "moment_draws": _setting(args, cfg, "moment_draws", int, 0),
-        "out": _setting(args, cfg, "out", str, None),
-        "jobs": _setting(args, cfg, "jobs", int, 1),
-    }
-    params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
-    out = _open_out(s["out"])
+def cmd_gram(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
     n = s["n"]
     dim = 2 ** (n // 2)
     omega = s["omega"] if s["omega"] > 0 else dim
     beta = s["beta"]
 
-    pool = build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
-    h = build_hamiltonian(sample_couplings(params, member=s["member"]))
-    pair = poissonize(h, pool, member_rng(s["seed"] + 1, s["draw_stream"]))
+    pool = _pool(params, s)
+    pair = poissonize_member(params, pool, s["member"], s["draw_stream"])
     spectra = diagonalize(pair.poissonized, need_vectors=False)
     gram = tfd_gram(spectra, beta=beta, t1=s["t1"], omega=omega)
     write_gram(os.path.join(out, "gram.csv"), gram.matrix)
@@ -498,7 +385,7 @@ def cmd_gram(args) -> int:
     if s["moment_draws"] > 0:
         draws = []
         for k in range(s["moment_draws"]):
-            pk = poissonize(h, pool, member_rng(s["seed"] + 2, k))
+            pk = poissonize(pair.original, pool, member_rng(s["seed"] + 2, k))
             sk = diagonalize(pk.poissonized, need_vectors=False)
             gk = tfd_gram(sk, beta=beta, t1=s["t1"], omega=omega)
             draws.append(cyclic_moment(gk, 2).real)
@@ -511,93 +398,142 @@ def cmd_gram(args) -> int:
     _write_stats(os.path.join(out, "report.csv"), rows)
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    return _finish(out, s, ["gram.csv", "report.csv"])
+    return ["gram.csv", "report.csv"]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="number of Majorana fermions (even)")
-    sub.add_argument("--j-scale", dest="j_scale", type=float, help="coupling scale")
-    sub.add_argument("--seed", type=int, help="ensemble seed")
-    sub.add_argument("--out", type=str, help="output directory")
-    sub.add_argument("--config", type=str, help="key=value config file; flags override")
-    sub.add_argument("--large", action="store_true", help="allow expensive sizes (n >= 20)")
+# Every option once: name -> (type, default, help).  Its flag is "--" plus
+# the name with "_" -> "-", and a bool option is a flag without a value.
+# `config` and `large` steer the run: every command takes them, and they
+# are neither read from a config file nor written to run.cfg.
+OPTIONS = {
+    "n": (int, 14, "number of Majorana fermions (even)"),
+    "j_scale": (float, 1.0, "coupling scale"),
+    "seed": (int, 42, "ensemble seed"),
+    "out": (str, None, "output directory"),
+    "config": (str, None, "key=value config file; flags override"),
+    "large": (bool, False, "allow expensive sizes (n >= 20)"),
+    "member": (int, 0, "disorder member index"),
+    "samples": (int, 64, "number of base draws"),
+    "pool_members": (int, 128, "pool size"),
+    "pool_start": (int, 1000, "first pool member index"),
+    "jobs": (int, 1, "ensemble-level worker threads"),
+    "bins": (int, 24, "histogram bins over [0,1]"),
+    "identity_draw": (bool, False, "test mode: replacement equals own spectrum"),
+    "no_replace": (bool, False, "draw pool levels without replacement"),
+    "betas": (str, "0,1,2,3", "comma list of inverse temperatures"),
+    "t_max": (float, 10.0, "time window in units of 1/J"),
+    "t_points": (int, 512, "time grid points"),
+    "otoc_pair": (str, "1,2", "two fermion indices, e.g. 1,2"),
+    "two_point": (str, "", "fermion indices for two-point series, or 'all'"),
+    "coefficients": (str, "", "compare against couplings from this file"),
+    "draw_stream": (int, 0, "poissonization draw stream"),
+    "trend_n": (str, "", "comma list of sizes for the fraction trend"),
+    "trend_samples": (int, 16, "draws per size in the trend"),
+    "size_cut": (int, 4, "locality cut k"),
+    "chain_stream": (int, 10 ** 6, "proposal RNG stream"),
+    "sigma0": (float, 0.001, "initial step scale"),
+    "stages": (str, "0.5:20000,1.0:20000,1.5:20000,2.0:20000", "beta_D:steps comma list; empty for no-op"),
+    "window": (int, 100, "steps per adaptation window"),
+    "checkpoint_every": (int, 1000, "steps between checkpoints"),
+    "resume": (str, "", "checkpoint file to resume from"),
+    "per_sector": (bool, False, "objective sums sector spectra separately"),
+    "beta": (float, 1.0, "inverse temperature"),
+    "t1": (float, 50.0, "base time spacing of the state family"),
+    "omega": (int, 0, "number of states (0 means 2^(n/2))"),
+    "threshold": (float, 1e-8, "singular value cutoff for rank"),
+    "moment_draws": (int, 0, "ensemble draws for the moment average"),
+}
+_RUN_OPTIONS = ("config", "large")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _add_pool(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pool-members", dest="pool_members", type=int, help="pool size")
-    sub.add_argument("--pool-start", dest="pool_start", type=int, help="first pool member index")
-    sub.add_argument("--jobs", type=int, help="ensemble-level worker threads")
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its settings in run.cfg order and its own defaults."""
+
+    run: Callable[[dict, EnsembleParams, str, bool], list[str]]
+    help: str
+    options: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+    large_defaults: dict = field(default_factory=dict)  # in force under --large
+
+
+COMMANDS = {
+    "sample": Command(
+        cmd_sample, "draw one disorder member and export couplings + spectrum",
+        ("n", "j_scale", "seed", "member", "out"),
+    ),
+    "poissonize": Command(
+        cmd_poissonize, "pool draw comparison: gap-ratio histograms and statistics",
+        ("n", "j_scale", "seed", "samples", "pool_members", "pool_start", "bins",
+         "identity_draw", "no_replace", "out", "jobs"),
+        large_defaults={"n": 22, "samples": 16, "pool_members": 256},
+    ),
+    "correlators": Command(
+        cmd_correlators, "two-point and OTOC series, original vs modified",
+        ("n", "j_scale", "seed", "member", "betas", "t_max", "t_points", "otoc_pair", "two_point",
+         "coefficients", "draw_stream", "pool_members", "pool_start", "out", "jobs"),
+    ),
+    "decompose": Command(
+        cmd_decompose, "fermion size spectrum and nonlocal fraction",
+        ("n", "j_scale", "seed", "member", "draw_stream", "pool_members", "pool_start",
+         "trend_n", "trend_samples", "size_cut", "out", "jobs"),
+    ),
+    "metropolis": Command(
+        cmd_metropolis, "anneal the spectrum away from level repulsion",
+        ("n", "j_scale", "seed", "member", "chain_stream", "sigma0", "stages", "window",
+         "checkpoint_every", "resume", "per_sector", "out"),
+        defaults={"n": 10},
+    ),
+    "gram": Command(
+        cmd_gram, "thermofield-double Gram matrix, rank and cyclic moments",
+        ("n", "j_scale", "seed", "member", "beta", "t1", "omega", "threshold", "draw_stream",
+         "pool_members", "pool_start", "moment_draws", "out", "jobs"),
+        defaults={"n": 10},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="syklab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("sample", help="draw one disorder member and export couplings + spectrum")
-    _add_common(p)
-    p.add_argument("--member", type=int, help="disorder member index")
-    p.set_defaults(func=cmd_sample)
-
-    p = subs.add_parser("poissonize", help="pool draw comparison: gap-ratio histograms and statistics")
-    _add_common(p)
-    p.add_argument("--samples", type=int, help="number of base draws")
-    _add_pool(p)
-    p.add_argument("--bins", type=int, help="histogram bins over [0,1]")
-    p.add_argument("--identity-draw", dest="identity_draw", action="store_const", const=True,
-                   help="test mode: replacement equals own spectrum")
-    p.add_argument("--no-replace", dest="no_replace", action="store_const", const=True,
-                   help="draw pool levels without replacement")
-    p.set_defaults(func=cmd_poissonize)
-
-    p = subs.add_parser("correlators", help="two-point and OTOC series, original vs modified")
-    _add_common(p)
-    p.add_argument("--member", type=int, help="disorder member index")
-    p.add_argument("--betas", type=str, help="comma list of inverse temperatures")
-    p.add_argument("--t-max", dest="t_max", type=float, help="time window in units of 1/J")
-    p.add_argument("--t-points", dest="t_points", type=int, help="time grid points")
-    p.add_argument("--otoc-pair", dest="otoc_pair", type=str, help="two fermion indices, e.g. 1,2")
-    p.add_argument("--two-point", dest="two_point", type=str,
-                   help="fermion indices for two-point series, or 'all'")
-    p.add_argument("--coefficients", type=str, help="compare against couplings from this file")
-    p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    _add_pool(p)
-    p.set_defaults(func=cmd_correlators)
-
-    p = subs.add_parser("decompose", help="fermion size spectrum and nonlocal fraction")
-    _add_common(p)
-    p.add_argument("--member", type=int, help="disorder member index")
-    p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    _add_pool(p)
-    p.add_argument("--trend-n", dest="trend_n", type=str, help="comma list of sizes for the fraction trend")
-    p.add_argument("--trend-samples", dest="trend_samples", type=int, help="draws per size in the trend")
-    p.add_argument("--size-cut", dest="size_cut", type=int, help="locality cut k")
-    p.set_defaults(func=cmd_decompose)
-
-    p = subs.add_parser("metropolis", help="anneal the spectrum away from level repulsion")
-    _add_common(p)
-    p.add_argument("--member", type=int, help="disorder member index")
-    p.add_argument("--chain-stream", dest="chain_stream", type=int, help="proposal RNG stream")
-    p.add_argument("--sigma0", type=float, help="initial step scale")
-    p.add_argument("--stages", type=str, help="beta_D:steps comma list; empty for no-op")
-    p.add_argument("--window", type=int, help="steps per adaptation window")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, help="steps between checkpoints")
-    p.add_argument("--resume", type=str, help="checkpoint file to resume from")
-    p.add_argument("--per-sector", dest="per_sector", action="store_const", const=True,
-                   help="objective sums sector spectra separately")
-    p.set_defaults(func=cmd_metropolis)
-
-    p = subs.add_parser("gram", help="thermofield-double Gram matrix, rank and cyclic moments")
-    _add_common(p)
-    p.add_argument("--member", type=int, help="disorder member index")
-    p.add_argument("--beta", type=float, help="inverse temperature")
-    p.add_argument("--t1", type=float, help="base time spacing of the state family")
-    p.add_argument("--omega", type=int, help="number of states (0 means 2^(n/2))")
-    p.add_argument("--threshold", type=float, help="singular value cutoff for rank")
-    p.add_argument("--draw-stream", dest="draw_stream", type=int, help="poissonization draw stream")
-    _add_pool(p)
-    p.add_argument("--moment-draws", dest="moment_draws", type=int, help="ensemble draws for the moment average")
-    p.set_defaults(func=cmd_gram)
+    for command_name, command in COMMANDS.items():
+        sub = subs.add_parser(command_name, help=command.help)
+        for name in command.options + _RUN_OPTIONS:
+            kind, _, help_text = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
+            else:
+                sub.add_argument(flag, dest=name, type=kind, help=help_text)
     return parser
+
+
+def _from_config(name: str, raw: str):
+    kind = OPTIONS[name][0]
+    try:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key {name}: {raw!r} is not a valid {kind.__name__}") from None
+
+
+def _settings(args, command: Command) -> dict:
+    """The command's settings in run.cfg order: flag, else config file, else default."""
+    try:
+        raw = read_config(args.config) if args.config else {}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    for key in raw:
+        if key not in command.options:
+            raise UsageError(f"config key {key} is not an option of {args.command}")
+    cfg = {key: _from_config(key, value) for key, value in raw.items()}
+    defaults = {name: OPTIONS[name][1] for name in command.options}
+    defaults.update(command.defaults)
+    if args.large:
+        defaults.update(command.large_defaults)
+    flags = {name: getattr(args, name) for name in command.options if getattr(args, name) is not None}
+    return {**defaults, **cfg, **flags}
 
 
 def main(argv=None) -> int:
@@ -606,8 +542,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        s = _settings(args, command)
+        params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
+        out = _open_out(s["out"])
+        return _finish(out, s, command.run(s, params, out, args.large))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ All tables carry a one-line header naming their columns.
 
 import hashlib
 import json
+import os
 from itertools import chain, combinations
 from math import comb
 
@@ -200,9 +201,24 @@ def _json_default(o):
 
 
 def write_checkpoint(path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, default=_json_default, indent=1)
-        f.write("\n")
+    """Replace the checkpoint at path in one step.
+
+    The payload goes to a temporary file in the same directory, is synced
+    to disk and then renamed over path, so a write that dies part-way
+    leaves the previous checkpoint intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, default=_json_default, indent=1)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> dict:
@@ -220,8 +236,6 @@ def sha256_of(path) -> str:
 
 def write_manifest(path, params: dict, file_paths) -> None:
     """Run manifest: parameters plus checksums, deliberately no timestamps."""
-    import os
-
     files = {}
     for p in sorted(file_paths, key=lambda q: os.path.basename(str(q))):
         files[os.path.basename(str(p))] = {

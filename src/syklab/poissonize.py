@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleParams, build_hamiltonian, sample_couplings
+from .ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from .pauli import DenseOperator
 from .spectral import SectorSpectrum, diagonalize
 
@@ -142,6 +142,25 @@ def poissonize(
         spectra=spectra,
         replaced=replaced,
     )
+
+
+def poissonize_member(
+    params: EnsembleParams,
+    pool: EigenvaluePool,
+    member: int,
+    stream: int,
+    replace: bool = True,
+    identity_draw: bool = False,
+) -> PoissonizedPair:
+    """Build disorder member `member` of `params` and poissonize it against `pool`.
+
+    The levels are drawn from stream (params.seed + 1, stream), the one
+    draw-stream convention every pipeline shares; `replace` and
+    `identity_draw` are passed to `poissonize`.
+    """
+    h = build_hamiltonian(sample_couplings(params, member=member))
+    rng = member_rng(params.seed + 1, stream)
+    return poissonize(h, pool, rng, replace=replace, identity_draw=identity_draw)
 
 
 @dataclass(frozen=True)

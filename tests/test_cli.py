@@ -1,7 +1,12 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from syklab.cli import main
+from syklab import exports
+from syklab.cli import build_parser, main
 from syklab.ensemble import EnsembleParams, sample_couplings
 from syklab.exports import (
     read_coefficients,
@@ -60,6 +65,66 @@ def test_config_file_with_flag_override(tmp_path):
     b = read_coefficients(out_b / "coefficients.csv")
     assert not np.array_equal(a.values, b.values)
     assert read_config(out_b / "run.cfg")["seed"] == "9"
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("sample", "jobs=2", "jobs"),
+    ("sample", "large=1", "large"),
+    ("sample", "n=abc", "n"),
+    ("metropolis", "per_sector=maybe", "per_sector"),
+])
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=7\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--n", "8", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one tiny run per subcommand, moving most options off their defaults
+ROUND_TRIP = {
+    "sample": ["--j-scale", "0.5", "--seed", "3", "--member", "2"],
+    "poissonize": ["--samples", "2", "--pool-members", "4", "--pool-start", "10", "--bins", "6",
+                   "--no-replace", "--jobs", "2"],
+    "correlators": ["--member", "1", "--betas", "0,1", "--t-max", "5.5", "--t-points", "16",
+                    "--otoc-pair", "0,3", "--two-point", "1", "--draw-stream", "3", "--pool-members", "4",
+                    "--pool-start", "7"],
+    "decompose": ["--member", "1", "--draw-stream", "2", "--pool-members", "4", "--trend-n", "8",
+                  "--trend-samples", "2", "--size-cut", "2"],
+    "metropolis": ["--member", "1", "--chain-stream", "5", "--sigma0", "0.01", "--stages", "0.5:100",
+                   "--window", "20", "--checkpoint-every", "50", "--per-sector"],
+    "gram": ["--member", "1", "--beta", "0.5", "--t1", "2.5", "--omega", "4", "--threshold", "1e-6",
+             "--draw-stream", "1", "--pool-members", "4", "--moment-draws", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_run_cfg_round_trips_through_config(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--n", "8", *ROUND_TRIP[command], "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "run.cfg"), "--out", str(second)]) == 0
+    a, b = _snapshot(first), _snapshot(second)
+    assert a.keys() == b.keys()
+    for name in a.keys() - {"run.cfg", "manifest.json"}:
+        assert a[name] == b[name], name
+    cfg_a, cfg_b = read_config(first / "run.cfg"), read_config(second / "run.cfg")
+    assert list(cfg_a) == list(cfg_b)
+    assert {k: v for k, v in cfg_a.items() if k != "out"} == {k: v for k, v in cfg_b.items() if k != "out"}
+
+
+def test_benchmark_command_lines_parse():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    commands = [argv for w in workloads.WORKLOADS.values() for argv in w.commands]
+    assert len(commands) == 5
+    for argv in commands:
+        # the benchmark appends --seed and --out to every call
+        args = parser.parse_args([*argv, "--seed", "42", "--out", "x"])
+        assert args.command == argv[0]
 
 
 def test_poissonize_identity_draw_has_zero_delta(tmp_path):
@@ -182,6 +247,38 @@ def test_metropolis_checkpoint_resume_matches_uninterrupted(tmp_path):
     whole = read_trajectory(full / "trajectory.csv")
     assert len(tail) == 1
     assert tail == whole[-1:]
+
+
+def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
+    argv = [
+        "metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
+        "--window", "50", "--checkpoint-every", "100",
+    ]
+    full = tmp_path / "full"
+    assert main(argv + ["--out", str(full)]) == 0
+    crashed = tmp_path / "crashed"
+    real_dump = json.dump
+    calls = []
+
+    def dump_dies_on_second_checkpoint(obj, fp, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            fp.write('{"version": 1, "n": 8, "seed"')
+            raise OSError("disk full")
+        real_dump(obj, fp, **kwargs)
+
+    monkeypatch.setattr(exports.json, "dump", dump_dies_on_second_checkpoint)
+    with pytest.raises(RuntimeError, match="last durable checkpoint: step 100"):
+        main(argv + ["--out", str(crashed)])
+    monkeypatch.undo()
+    assert sorted(p.name for p in crashed.iterdir()) == ["checkpoint.json"]
+    assert json.loads((crashed / "checkpoint.json").read_text())["global_step"] == 100
+    resumed = tmp_path / "resumed"
+    assert main(argv + ["--resume", str(crashed / "checkpoint.json"), "--out", str(resumed)]) == 0
+    a = read_coefficients(full / "coefficients.csv")
+    b = read_coefficients(resumed / "coefficients.csv")
+    assert np.array_equal(a.values, b.values)
+    assert read_trajectory(resumed / "trajectory.csv") == read_trajectory(full / "trajectory.csv")[-3:]
 
 
 def test_gram_single_state_has_rank_one(tmp_path):

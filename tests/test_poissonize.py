@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
+from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from syklab.pauli import sector_split
 from syklab.poissonize import (
     EigenvaluePool,
     build_pool,
     delta_h_diagnostics,
     poissonize,
+    poissonize_member,
 )
 from syklab.spectral import diagonalize
 
@@ -36,6 +37,19 @@ def test_build_pool_jobs_is_deterministic():
     threaded = build_pool(params, members=8, jobs=4)
     assert np.array_equal(serial.even, threaded.even)
     assert np.array_equal(serial.odd, threaded.odd)
+
+
+def test_poissonize_member_draws_from_the_shared_stream():
+    params = EnsembleParams(n=8, seed=3)
+    pool = build_pool(params, members=4, start_member=100)
+    h = build_hamiltonian(sample_couplings(params, member=2))
+    for replace in (True, False):
+        want = poissonize(h, pool, member_rng(4, 5), replace=replace)
+        got = poissonize_member(params, pool, 2, 5, replace=replace)
+        assert np.array_equal(got.original, h)
+        assert np.array_equal(got.poissonized, want.poissonized)
+    same = poissonize_member(params, pool, 2, 5, identity_draw=True)
+    assert np.linalg.norm(same.delta()) < 1e-12 * np.linalg.norm(h)
 
 
 def test_identity_draw_reconstructs_target():
