@@ -21,12 +21,8 @@ from syklab.spectral import (
 )
 
 
-def ratio_pool(spectra_or_levels) -> np.ndarray:
-    chunks = []
-    for x in spectra_or_levels:
-        levels = getattr(x, "eigenvalues", x)
-        chunks.append(gap_ratios(levels).ratios)
-    return np.concatenate(chunks)
+def ratio_pool(spectra) -> np.ndarray:
+    return np.concatenate([gap_ratios(sector.eigenvalues).ratios for sector in spectra])
 
 
 def statistics_for(n, seed, samples, pool_members, pool_start):
@@ -41,7 +37,7 @@ def statistics_for(n, seed, samples, pool_members, pool_start):
         s_reloc = diagonalize(local, need_vectors=False)
         rows[m] = (
             min_ratio_statistic(ratio_pool(pair.spectra)),
-            min_ratio_statistic(ratio_pool(pair.replaced.values())),
+            min_ratio_statistic(ratio_pool(pair.poissonized_spectra)),
             min_ratio_statistic(ratio_pool(s_reloc)),
         )
     return rows.mean(axis=0), rows.std(axis=0) / np.sqrt(samples)

@@ -21,7 +21,6 @@ from .decompose import (
     FermionExpansion,
     majorana_coefficients,
     nonlocal_fraction,
-    pauli_decompose,
     size_spectrum,
     truncate_local,
 )

@@ -66,21 +66,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_stages(text: str) -> tuple[tuple[float, int], ...]:
-    stages = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        beta, _, steps = tok.partition(":")
-        stages.append((float(beta), int(steps)))
-    return tuple(stages)
-
-
 def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsembleParams:
     try:
         params = EnsembleParams(n=n, j_scale=j_scale, seed=seed)
@@ -91,6 +76,76 @@ def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsemblePara
     if n >= LARGE_N:
         print(f"warning: n={n} runs take hours and sizable memory", file=sys.stderr)
     return params
+
+
+# The options below are parsed, and range checked, before the output
+# directory is made: name -> parse(value, settings, --large), raising
+# ValueError or UsageError on a bad value.  Commands read the parsed values;
+# run.cfg keeps the text as given.
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _betas(text: str, s: dict, large: bool) -> tuple[float, ...]:
+    betas = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not betas or not all(beta >= 0.0 for beta in betas):
+        raise ValueError("want one or more nonnegative inverse temperatures")
+    return betas
+
+
+def _stages(text: str, s: dict, large: bool) -> tuple[tuple[float, int], ...]:
+    stages = []
+    for tok in filter(str.strip, text.split(",")):
+        beta, colon, steps = tok.partition(":")
+        if not colon or int(steps) < 0:
+            raise ValueError(f"stage {tok.strip()!r} is not beta_D:steps")
+        stages.append((float(beta), int(steps)))
+    return tuple(stages)
+
+
+def _fermions(text: str, s: dict, large: bool) -> tuple[int, ...]:
+    indices = tuple(range(s["n"])) if text == "all" else _ints(text)
+    for i in indices:
+        if not 0 <= i < s["n"]:
+            raise ValueError(f"fermion index {i} is outside 0..{s['n'] - 1}")
+    return indices
+
+
+def _otoc_pair(text: str, s: dict, large: bool) -> tuple[int, ...]:
+    pair = _fermions(text, s, large)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValueError("want two different fermion indices")
+    return pair
+
+
+def _trend(text: str, s: dict, large: bool) -> tuple[EnsembleParams, ...]:
+    return tuple(_make_params(nn, s["j_scale"], s["seed"], large) for nn in _ints(text))
+
+
+def _size_cut(k: int, s: dict, large: bool) -> int:
+    if k < 0:
+        raise ValueError("the locality cut must be nonnegative")
+    return k
+
+
+_PARSERS = {
+    "betas": _betas, "otoc_pair": _otoc_pair, "two_point": _fermions,
+    "trend_n": _trend, "size_cut": _size_cut, "stages": _stages,
+}
+
+
+def _parsed(s: dict, large: bool) -> dict:
+    """The settings with every option of _PARSERS parsed; a bad value is a usage error."""
+    values = dict(s)
+    for name, parse in _PARSERS.items():
+        if name in s:
+            try:
+                values[name] = parse(s[name], s, large)
+            except (ValueError, UsageError) as exc:
+                raise UsageError(f"--{name.replace('_', '-')} {s[name]!r}: {exc}") from None
+    return values
 
 
 def _open_out(out: str | None) -> str:
@@ -126,24 +181,21 @@ def _ratio_histogram(path, ratios: np.ndarray, bins: int) -> None:
             f.write(f"{_fmt(r)},{_fmt(d)}\n")
 
 
-def _sector_ratio_pool(spectra_or_levels) -> np.ndarray:
-    chunks = []
-    for item in spectra_or_levels:
-        levels = item.eigenvalues if hasattr(item, "eigenvalues") else item
-        chunks.append(gap_ratios(levels).ratios)
-    return np.concatenate(chunks)
+def _sector_ratio_pool(spectra) -> np.ndarray:
+    """Gap ratios taken within each sector, then pooled."""
+    return np.concatenate([gap_ratios(sector.eigenvalues).ratios for sector in spectra])
 
 
 def _pool(params: EnsembleParams, s: dict):
     return build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
 
 
-# Each command below takes its resolved settings `s`, the ensemble built
-# from them, the output directory and the --large confirmation, and
-# returns the names of the data files it wrote.
+# Each command below takes its resolved settings `s` (the options of
+# _PARSERS already parsed), the ensemble built from them and the output
+# directory, and returns the names of the data files it wrote.
 
 
-def cmd_sample(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
+def cmd_sample(s: dict, params: EnsembleParams, out: str) -> list[str]:
     couplings = sample_couplings(params, member=s["member"])
     spectra = diagonalize(build_hamiltonian(couplings), need_vectors=False)
     write_coefficients(os.path.join(out, "coefficients.csv"), couplings)
@@ -153,7 +205,7 @@ def cmd_sample(s: dict, params: EnsembleParams, out: str, large: bool) -> list[s
     return ["coefficients.csv", "spectrum.csv"]
 
 
-def cmd_poissonize(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
+def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> list[str]:
     n = s["n"]
     pool = _pool(params, s)
     write_pool(os.path.join(out, "pool.csv"), pool)
@@ -165,7 +217,7 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str, large: bool) -> li
             params, pool, m, m, replace=not s["no_replace"], identity_draw=s["identity_draw"],
         )
         orig.append(_sector_ratio_pool(pair.spectra))
-        poiss.append(_sector_ratio_pool(pair.replaced.values()))
+        poiss.append(_sector_ratio_pool(pair.poissonized_spectra))
         expansion = majorana_coefficients(pair.poissonized, n)
         local, _ = truncate_local(expansion, k=4, original=pair.poissonized)
         reloc.append(_sector_ratio_pool(diagonalize(local, need_vectors=False)))
@@ -209,22 +261,19 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str, large: bool) -> li
     ]
 
 
-def cmd_correlators(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
-    n = s["n"]
-    betas = _parse_floats(s["betas"])
-    a, b = (int(x) for x in s["otoc_pair"].split(","))
+def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> list[str]:
+    n, betas = s["n"], s["betas"]
+    a, b = s["otoc_pair"]
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
 
     if s["coefficients"]:
-        h0 = build_hamiltonian(sample_couplings(params, member=s["member"]))
-        h1 = build_hamiltonian(read_coefficients(s["coefficients"]))
+        s0 = diagonalize(build_hamiltonian(sample_couplings(params, member=s["member"])))
+        s1 = diagonalize(build_hamiltonian(read_coefficients(s["coefficients"])))
         modified_tag = "modified"
     else:
         pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
-        h0, h1 = pair.original, pair.poissonized
+        s0, s1 = pair.spectra, pair.poissonized_spectra
         modified_tag = "poissonized"
-    s0 = diagonalize(h0)
-    s1 = diagonalize(h1)
 
     files = []
     deviations = []
@@ -239,12 +288,7 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str, large: bool) -> l
         at0 = otoc0[betas.index(0.0)].values[0]
         print(f"otoc(t=0, beta=0) = {at0.real:+.12f}{at0.imag:+.3e}i")
 
-    fermions: tuple[int, ...] = ()
-    if s["two_point"] == "all":
-        fermions = tuple(range(n))
-    elif s["two_point"]:
-        fermions = tuple(int(x) for x in s["two_point"].split(","))
-    for i in fermions:
+    for i in s["two_point"]:
         psi = majorana_matrix(i, n)
         g0 = [two_point(s0, psi, beta, times) for beta in betas]
         g1 = [two_point(s1, psi, beta, times) for beta in betas]
@@ -264,7 +308,7 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str, large: bool) -> l
     return files
 
 
-def cmd_decompose(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
+def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> list[str]:
     n, k = s["n"], s["size_cut"]
     pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
 
@@ -291,11 +335,10 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str, large: bool) -> lis
     files.append("expansion_poissonized.csv")
 
     if s["trend_n"]:
-        sizes_list = tuple(int(x) for x in s["trend_n"].split(","))
         rows = []
         prev = None
-        for nn in sizes_list:
-            p_nn = _make_params(nn, s["j_scale"], s["seed"], large)
+        for p_nn in s["trend_n"]:
+            nn = p_nn.n
             pool_nn = _pool(p_nn, s)
             fracs = [
                 nonlocal_fraction(poissonize_member(p_nn, pool_nn, m, m).poissonized, nn, k)
@@ -316,8 +359,8 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str, large: bool) -> lis
     return files
 
 
-def cmd_metropolis(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
-    schedule = Schedule(stages=_parse_stages(s["stages"]), window=s["window"])
+def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> list[str]:
+    schedule = Schedule(stages=s["stages"], window=s["window"])
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
     resume_payload = read_checkpoint(s["resume"]) if s["resume"] else None
@@ -336,8 +379,8 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str, large: bool) -> li
     write_spectrum(os.path.join(out, "spectrum_initial.csv"), s0)
     write_spectrum(os.path.join(out, "spectrum_final.csv"), s1)
 
-    stat0 = min_ratio_statistic(np.concatenate([gap_ratios(x.eigenvalues).ratios for x in s0]))
-    stat1 = min_ratio_statistic(np.concatenate([gap_ratios(x.eigenvalues).ratios for x in s1]))
+    stat0 = min_ratio_statistic(_sector_ratio_pool(s0))
+    stat1 = min_ratio_statistic(_sector_ratio_pool(s1))
     ks = float(ks_2samp(combined_eigenvalues(s0), combined_eigenvalues(s1)).statistic)
     drift = abs(trace_h_squared(result.couplings) - result.target_trace) / result.target_trace
     rows = [
@@ -355,7 +398,7 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str, large: bool) -> li
     return files
 
 
-def cmd_gram(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str]:
+def cmd_gram(s: dict, params: EnsembleParams, out: str) -> list[str]:
     n = s["n"]
     dim = 2 ** (n // 2)
     omega = s["omega"] if s["omega"] > 0 else dim
@@ -363,11 +406,10 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str
 
     pool = _pool(params, s)
     pair = poissonize_member(params, pool, s["member"], s["draw_stream"])
-    spectra = diagonalize(pair.poissonized, need_vectors=False)
-    gram = tfd_gram(spectra, beta=beta, t1=s["t1"], omega=omega)
+    gram = tfd_gram(pair.poissonized_spectra, beta=beta, t1=s["t1"], omega=omega)
     write_gram(os.path.join(out, "gram.csv"), gram.matrix)
 
-    energies = combined_eigenvalues(spectra)
+    energies = combined_eigenvalues(pair.poissonized_spectra)
     shifted = energies - energies.min()
     z1 = float(np.sum(np.exp(-beta * shifted)))
     z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
@@ -386,8 +428,7 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str, large: bool) -> list[str
         draws = []
         for k in range(s["moment_draws"]):
             pk = poissonize(pair.original, pool, member_rng(s["seed"] + 2, k))
-            sk = diagonalize(pk.poissonized, need_vectors=False)
-            gk = tfd_gram(sk, beta=beta, t1=s["t1"], omega=omega)
+            gk = tfd_gram(pk.poissonized_spectra, beta=beta, t1=s["t1"], omega=omega)
             draws.append(cyclic_moment(gk, 2).real)
         draws = np.array(draws)
         rows += [
@@ -452,7 +493,7 @@ _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 class Command:
     """A subcommand: its settings in run.cfg order and its own defaults."""
 
-    run: Callable[[dict, EnsembleParams, str, bool], list[str]]
+    run: Callable[[dict, EnsembleParams, str], list[str]]
     help: str
     options: tuple[str, ...]
     defaults: dict = field(default_factory=dict)
@@ -546,8 +587,9 @@ def main(argv=None) -> int:
     try:
         s = _settings(args, command)
         params = _make_params(s["n"], s["j_scale"], s["seed"], args.large)
+        values = _parsed(s, args.large)
         out = _open_out(s["out"])
-        return _finish(out, s, command.run(s, params, out, args.large))
+        return _finish(out, s, command.run(values, params, out))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

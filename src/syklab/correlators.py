@@ -84,12 +84,6 @@ def full_energy_basis(spectra):
     return energies, u
 
 
-def partition_function(spectra, z: complex) -> complex:
-    """Z(z) = sum_n e^{-z E_n} over both parity sectors; z may be complex."""
-    energies = np.concatenate([sec.eigenvalues for sec in spectra])
-    return complex(np.sum(np.exp(-z * energies)))
-
-
 def _thermal_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     # shifted so the largest weight is 1; normalization divides out below
     return np.exp(-beta * (energies - energies.min()))

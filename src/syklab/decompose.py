@@ -27,12 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DenseOperator, PauliString
+from .pauli import DenseOperator
 
 SPARSE_THRESHOLD = 1e-14
-
-# letter codes in the coefficient tensor: 0=I, 1=X, 2=Y, 3=Z
-_LETTERS = "IXYZ"
 
 # per spin phase of the ordered Majorana product, as a power of i,
 # indexed by (a, b, trailing parity) where a, b flag psi_{2s}, psi_{2s+1}
@@ -84,31 +81,6 @@ def _tensor_reconstruct(flat: np.ndarray) -> DenseOperator:
     ))
     work = work.reshape((2,) * (2 * q)).transpose(np.argsort(_interleaved(q)))
     return np.ascontiguousarray(work).reshape(2**q, 2**q)
-
-
-def _flat_letters(index: int, q: int) -> tuple[str, ...]:
-    return tuple(_LETTERS[(index >> (2 * (q - 1 - s))) & 3] for s in range(q))
-
-
-def pauli_decompose(a: DenseOperator, threshold: float = SPARSE_THRESHOLD):
-    """Expand a dense operator over unit phase Pauli strings.
-
-    Parameters
-    ----------
-    a : ndarray
-        Square matrix of power-of-two dimension 2^q.
-    threshold : float
-        Coefficients with |c| <= threshold are dropped from the result.
-
-    Returns
-    -------
-    dict[PauliString, complex]
-        a equals sum coeff * string.dense() within roundoff.
-    """
-    flat = _tensor_decompose(a)
-    q = int(np.log2(flat.size)) // 2
-    keep = np.nonzero(np.abs(flat) > threshold)[0]
-    return {PauliString(_flat_letters(int(k), q)): complex(flat[k]) for k in keep}
 
 
 def _digit_table(q: int) -> np.ndarray:
@@ -236,6 +208,8 @@ def size_spectrum(expansion: FermionExpansion) -> np.ndarray:
 
 def nonlocal_fraction(a: DenseOperator, n: int, k: int = 4) -> float:
     """Frobenius weight fraction carried by monomials of size > k."""
+    if k < 0:
+        raise ValueError(f"size cut must be nonnegative, got {k}")
     dim = 2 ** (n // 2)
     if a.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)} for n={n}, got {a.shape}")

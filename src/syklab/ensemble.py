@@ -79,26 +79,8 @@ class CouplingTensor:
         if self.values.shape != (want,):
             raise ValueError(f"expected {want} couplings for n={self.n}, got {self.values.shape}")
 
-    def value(self, subset) -> float:
-        return float(self.values[coupling_index(self.n, tuple(subset))])
-
     def sum_squares(self) -> float:
         return float(np.dot(self.values, self.values))
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(coupling_subsets(self.n), self.values.tolist()))
-
-
-@lru_cache(maxsize=None)
-def _subset_index_map(n: int) -> dict[tuple[int, ...], int]:
-    return {s: k for k, s in enumerate(coupling_subsets(n))}
-
-
-def coupling_index(n: int, subset: tuple[int, ...]) -> int:
-    try:
-        return _subset_index_map(n)[subset]
-    except KeyError:
-        raise ValueError(f"{subset} is not an ascending 4-subset of range({n})") from None
 
 
 def member_rng(seed: int, stream: int) -> np.random.Generator:

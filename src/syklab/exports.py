@@ -223,7 +223,13 @@ def write_checkpoint(path, payload: dict) -> None:
 
 def read_checkpoint(path) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a readable checkpoint (no JSON object)")
+    return payload
 
 
 def sha256_of(path) -> str:

@@ -161,6 +161,19 @@ def adapt_sigma(state: ChainState, schedule: Schedule = Schedule()) -> ChainStat
     return replace(state, sigma=sigma, accept_count=0, step_count=0)
 
 
+def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sector: bool) -> dict:
+    """The checkpoint fields that name a run; a resume must match every one."""
+    return {
+        "version": 1,
+        "n": params.n,
+        "seed": params.seed,
+        "j_scale": params.j_scale,
+        "member": member,
+        "stages": [[float(b), int(s)] for b, s in schedule.stages],
+        "per_sector": per_sector,
+    }
+
+
 def checkpoint_payload(
     params: EnsembleParams,
     schedule: Schedule,
@@ -174,13 +187,7 @@ def checkpoint_payload(
 ) -> dict:
     """Self-describing JSON-ready snapshot sufficient for bit-exact resume."""
     return {
-        "version": 1,
-        "n": params.n,
-        "seed": params.seed,
-        "j_scale": params.j_scale,
-        "member": member,
-        "stages": [[float(b), int(s)] for b, s in schedule.stages],
-        "per_sector": per_sector,
+        **_run_fields(params, schedule, member, per_sector),
         "global_step": global_step,
         "stage_index": stage_index,
         "stage_step": stage_step,
@@ -212,24 +219,38 @@ def run_schedule(
     rate) and hands a checkpoint payload to checkpoint_sink every
     checkpoint_every steps. On resume the returned trajectory holds only
     the rows produced after the checkpoint.
+
+    Raises
+    ------
+    ValueError
+        If the resume payload lacks a field, or was recorded with another
+        version, n, seed, j_scale, member, stage list or per_sector; the
+        message names the field.
     """
     if resume is not None:
-        if (resume["n"], resume["seed"]) != (params.n, params.seed):
-            raise ValueError("checkpoint was recorded for different ensemble parameters")
-        target = float(resume["target_trace"])
-        rng.bit_generator.state = resume["rng_state"]
+
+        def field(key):
+            if key not in resume:
+                raise ValueError(f"checkpoint has no {key!r} field")
+            return resume[key]
+
+        for key, want in _run_fields(params, schedule, member, per_sector).items():
+            if field(key) != want:
+                raise ValueError(f"checkpoint {key} is {resume[key]!r}, but this run has {want!r}")
+        target = float(field("target_trace"))
+        rng.bit_generator.state = field("rng_state")
         state = ChainState(
-            couplings=CouplingTensor(params.n, np.asarray(resume["couplings"])),
-            objective=float(resume["objective"]),
-            sigma=float(resume["sigma"]),
-            accept_count=int(resume["accept_count"]),
-            step_count=int(resume["window_step"]),
+            couplings=CouplingTensor(params.n, np.asarray(field("couplings"))),
+            objective=float(field("objective")),
+            sigma=float(field("sigma")),
+            accept_count=int(field("accept_count")),
+            step_count=int(field("window_step")),
             stage=0.0,
             rng=rng,
         )
-        global_step = int(resume["global_step"])
-        start_stage = int(resume["stage_index"])
-        start_stage_step = int(resume["stage_step"])
+        global_step = int(field("global_step"))
+        start_stage = int(field("stage_index"))
+        start_stage_step = int(field("stage_step"))
     else:
         couplings = sample_couplings(params, member)
         target = trace_h_squared(couplings)

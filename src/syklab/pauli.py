@@ -128,10 +128,6 @@ class PauliString:
         return f"{token} {''.join(self.letters)}"
 
 
-def identity_string(n_spins: int) -> PauliString:
-    return PauliString(("I",) * n_spins)
-
-
 def majorana_string(i: int, n: int) -> PauliString:
     """Symbolic Jordan-Wigner form of the i-th Majorana for N = n fermions."""
     _check_majorana_args(i, n)
@@ -168,7 +164,7 @@ def majorana_monomial(indices, n: int) -> PauliString:
         raise ValueError(f"indices must be strictly ascending, got {indices}")
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"fermion count must be positive even, got {n}")
-    out = identity_string(n // 2)
+    out = PauliString(("I",) * (n // 2))
     for i in indices:
         out = out * majorana_string(i, n)
     return out

@@ -67,16 +67,17 @@ def build_pool(
 class PoissonizedPair:
     """A target Hamiltonian and its spectrum replaced twin.
 
-    The sector eigenvector matrices in `spectra` are shared by both
-    operators; `replaced` maps sector tag to the sorted replacement
-    levels D'.
+    H' = U D' U^dag keeps the eigenbasis of H, so the spectrum of H' is D'
+    by construction: each sector of `poissonized_spectra` shares its
+    eigenvectors and basis indices with the same sector of `spectra`, and
+    its eigenvalues are the sorted replacement levels D'.
     """
 
     n: int
     original: DenseOperator
     poissonized: DenseOperator
     spectra: tuple[SectorSpectrum, SectorSpectrum]
-    replaced: dict[str, np.ndarray]
+    poissonized_spectra: tuple[SectorSpectrum, SectorSpectrum]
 
     def delta(self) -> DenseOperator:
         return self.poissonized - self.original
@@ -114,7 +115,7 @@ def poissonize(
     spectra = diagonalize(h)
     dim = h.shape[0]
     h_prime = np.zeros((dim, dim), dtype=complex)
-    replaced = {}
+    replaced = []
     for s in spectra:
         if identity_draw:
             d_prime = s.eigenvalues.copy()
@@ -132,7 +133,7 @@ def poissonize(
                     )
                 d_prime = rng.choice(values, size=want, replace=False)
             d_prime = np.sort(d_prime)
-        replaced[s.sector] = d_prime
+        replaced.append(SectorSpectrum(s.sector, d_prime, s.eigenvectors, s.basis_indices))
         block = (s.eigenvectors * d_prime) @ s.eigenvectors.conj().T
         h_prime[np.ix_(s.basis_indices, s.basis_indices)] = block
     return PoissonizedPair(
@@ -140,7 +141,7 @@ def poissonize(
         original=h,
         poissonized=h_prime,
         spectra=spectra,
-        replaced=replaced,
+        poissonized_spectra=tuple(replaced),
     )
 
 
@@ -161,30 +162,3 @@ def poissonize_member(
     h = build_hamiltonian(sample_couplings(params, member=member))
     rng = member_rng(params.seed + 1, stream)
     return poissonize(h, pool, rng, replace=replace, identity_draw=identity_draw)
-
-
-@dataclass(frozen=True)
-class DeltaDiagnostics:
-    """Size and commutation checks of dH = H' - H."""
-
-    max_level_shift: dict[str, float]
-    frobenius: float
-    commutator: float
-    relative: float
-
-
-def delta_h_diagnostics(pair: PoissonizedPair) -> DeltaDiagnostics:
-    delta = pair.delta()
-    shifts = {
-        s.sector: float(np.max(np.abs(pair.replaced[s.sector] - s.eigenvalues)))
-        for s in pair.spectra
-    }
-    fro = float(np.linalg.norm(delta))
-    comm = float(np.linalg.norm(pair.original @ delta - delta @ pair.original))
-    denom = float(np.linalg.norm(pair.poissonized))
-    return DeltaDiagnostics(
-        max_level_shift=shifts,
-        frobenius=fro,
-        commutator=comm,
-        relative=fro / denom if denom > 0.0 else 0.0,
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
+from math import log
 
 import numpy as np
 
@@ -293,10 +293,6 @@ class MomentTerm:
     blocks: tuple[tuple[int, ...], ...]
     weight: Fraction
 
-    @property
-    def weight_float(self) -> float:
-        return float(self.weight)
-
 
 def set_partitions(items: tuple):
     if not items:
@@ -331,15 +327,3 @@ def poisson_moment(n: int, n_levels: int) -> list[MomentTerm]:
             falling *= n_levels - k
         terms.append(MomentTerm(blocks, falling / Fraction(n_levels) ** n))
     return sorted(terms, key=lambda t: (len(t.blocks), t.blocks))
-
-
-def count_moment(n: int, n_levels: int, p: float) -> float:
-    """E[(number of levels in a region of mass p)^n] under the ensemble.
-
-    Each partition with r blocks contributes weight * N^n * p^r, i.e.
-    the falling factorial N(N-1)...(N-r+1) times p^r.
-    """
-    return sum(
-        t.weight_float * float(n_levels) ** n * p ** len(t.blocks)
-        for t in poisson_moment(n, n_levels)
-    )

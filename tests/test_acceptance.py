@@ -131,7 +131,7 @@ def test_criterion_03_gap_ratio_reproduction(pool128_n14):
         h = build_hamiltonian(sample_couplings(params, m))
         pair = poissonize(h, pool, member_rng(43, m))
         orig.append(sector_ratio_pool(pair.spectra))
-        poiss.append(sector_ratio_pool(pair.replaced.values()))
+        poiss.append(sector_ratio_pool(pair.poissonized_spectra))
         local, _ = truncate_local(
             majorana_coefficients(pair.poissonized, 14), k=4, original=pair.poissonized
         )
@@ -167,10 +167,10 @@ def test_criterion_04_sff_plateau(pool128_n14):
     first_even = None
     for k in range(128):
         pair = poissonize(h, pool, member_rng(43, k))
-        levels = np.concatenate([pair.replaced["even"], pair.replaced["odd"]])
+        levels = np.concatenate([x.eigenvalues for x in pair.poissonized_spectra])
         total += sff(levels, beta, times)
         if first_even is None:
-            first_even = pair.replaced["even"]
+            first_even = pair.poissonized_spectra[0].eigenvalues
     ensemble = total / 128.0
 
     density = MeanDensity.from_samples(np.concatenate([pool.even, pool.odd]))
@@ -340,7 +340,7 @@ def test_criterion_09_tfd_gram_rank():
     # draw of the stream
     for k in range(64):
         pair = poissonize(h, pool, member_rng(43, k))
-        levels = np.sort(np.concatenate(list(pair.replaced.values())))
+        levels = np.sort(np.concatenate([x.eigenvalues for x in pair.poissonized_spectra]))
         bandwidth = float(levels[-1] - levels[0])
         if np.diff(levels).min() > 1e-12 * bandwidth:
             break

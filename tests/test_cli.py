@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,41 @@ def test_benchmark_command_lines_parse():
         # the benchmark appends --seed and --out to every call
         args = parser.parse_args([*argv, "--seed", "42", "--out", "x"])
         assert args.command == argv[0]
+
+
+def test_traced_benchmark_runner_installs_its_spans(tmp_path):
+    # perfbench/spans.py rebinds syklab functions by name and raises when one is gone
+    root = Path(__file__).resolve().parents[1]
+    result = tmp_path / "result.json"
+    argv = ["poissonize", "--n", "8", "--samples", "2", "--pool-members", "4",
+            "--seed", "42", "--out", str(tmp_path / "run")]
+    spec = {"root": str(root), "argv": argv, "trace": True, "run_id": "guard", "result": str(result)}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "runner.py"), json.dumps(spec)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    functions = json.loads(result.read_text())["trace"]["functions"]
+    assert functions["poissonize.poissonize"]["calls"] == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["metropolis", "--stages", "0.5"], "--stages"),
+    (["metropolis", "--stages", "0.5:100,1.0:-5"], "--stages"),
+    (["correlators", "--pool-members", "4", "--otoc-pair", "1"], "--otoc-pair"),
+    (["correlators", "--pool-members", "4", "--otoc-pair", "2,2"], "--otoc-pair"),
+    (["correlators", "--pool-members", "4", "--two-point", "99"], "--two-point"),
+    (["correlators", "--pool-members", "4", "--betas", "0,-1"], "--betas"),
+    (["decompose", "--pool-members", "4", "--trend-n", "8,9"], "--trend-n"),
+    (["decompose", "--pool-members", "4", "--trend-n", "8,ten"], "--trend-n"),
+    (["decompose", "--pool-members", "4", "--trend-n", "8,22"], "--trend-n"),
+    (["decompose", "--pool-members", "4", "--size-cut", "-6"], "--size-cut"),
+])
+def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, "--n", "8", "--seed", "1", "--out", str(out)]) == 2
+    assert f"usage error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_poissonize_identity_draw_has_zero_delta(tmp_path):
@@ -279,6 +316,30 @@ def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     b = read_coefficients(resumed / "coefficients.csv")
     assert np.array_equal(a.values, b.values)
     assert read_trajectory(resumed / "trajectory.csv") == read_trajectory(full / "trajectory.csv")[-3:]
+
+
+CHAIN = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
+         "--window", "50", "--checkpoint-every", "100"]
+
+
+@pytest.mark.parametrize("checkpoint, flags, named", [
+    ("{}", [], "'version'"),
+    ('{"version": 1, "n": 8, "seed"', [], "checkpoint.json: not a readable checkpoint"),
+    ("[8, 42]", [], "checkpoint.json: not a readable checkpoint"),
+    (None, ["--member", "5", "--j-scale", "2", "--per-sector", "--stages", "0.5:250,1.0:100"], "j_scale"),
+    (None, ["--stages", "0.5:250,1.0:100"], "stages"),
+    (None, ["--per-sector"], "per_sector"),
+], ids=["empty", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector"])
+def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint, flags, named):
+    path = tmp_path / "checkpoint.json"
+    if checkpoint is None:
+        assert main(CHAIN + ["--out", str(tmp_path / "first")]) == 0
+        path = tmp_path / "first" / "checkpoint.json"
+    else:
+        path.write_text(checkpoint)
+    capsys.readouterr()
+    assert main(CHAIN + flags + ["--resume", str(path), "--out", str(tmp_path / "resumed")]) == 3
+    assert named in capsys.readouterr().err
 
 
 def test_gram_single_state_has_rank_one(tmp_path):

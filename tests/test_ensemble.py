@@ -8,7 +8,6 @@ from syklab.ensemble import (
     EnsembleParams,
     HamiltonianBuilder,
     build_hamiltonian,
-    coupling_index,
     coupling_subsets,
     coupling_variance,
     gaussian,
@@ -45,7 +44,7 @@ def test_subsets_lexicographic():
     assert subsets[0] == (0, 1, 2, 3)
     assert subsets[-1] == (2, 3, 4, 5)
     assert list(subsets) == sorted(subsets)
-    assert coupling_index(6, (0, 1, 2, 4)) == 1
+    assert subsets[1] == (0, 1, 2, 4)
 
 
 def test_draws_are_reproducible_and_order_independent():
@@ -135,10 +134,3 @@ def test_member_rng_streams_differ(seed, stream):
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
 
-
-def test_coupling_value_lookup():
-    coup = sample_couplings(EnsembleParams(n=8, seed=4))
-    s = (1, 3, 5, 7)
-    assert coup.value(s) == coup.as_dict()[s]
-    with pytest.raises(ValueError):
-        coup.value((3, 1, 5, 7))

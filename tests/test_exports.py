@@ -5,7 +5,7 @@ import pytest
 
 from syklab.correlators import CorrelatorSeries, tfd_gram
 from syklab.decompose import majorana_coefficients
-from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
+from syklab.ensemble import EnsembleParams, build_hamiltonian, coupling_subsets, sample_couplings
 from syklab.exports import (
     read_checkpoint,
     read_coefficients,
@@ -131,7 +131,7 @@ def test_expansion_round_trip_and_quartic_slice(tmp_path):
     coeff_path = tmp_path / "coefficients.csv"
     write_coefficients(coeff_path, couplings)
     tensor = read_coefficients(coeff_path)
-    for idx, j in tensor.as_dict().items():
+    for idx, j in zip(coupling_subsets(tensor.n), tensor.values):
         assert back.coefficient(idx) == pytest.approx(-j, abs=1e-12)
 
 

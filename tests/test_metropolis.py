@@ -243,8 +243,32 @@ def test_run_schedule_resume_rejects_other_ensemble():
     schedule = Schedule(stages=((0.5, 200),))
     payloads = []
     run_schedule(params, schedule, np.random.default_rng(4), payloads.append, checkpoint_every=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed"):
         run_schedule(
             EnsembleParams(n=8, seed=34), schedule,
             np.random.default_rng(4), resume=payloads[0],
         )
+
+
+OTHER_RUN = {
+    "version": 2, "n": 10, "seed": 34, "j_scale": 2.0, "member": 5,
+    "stages": [[0.5, 200], [1.0, 200]], "per_sector": True,
+}
+
+
+@pytest.mark.parametrize("field, how", [
+    *((field, "changed") for field in sorted(OTHER_RUN)),
+    *((field, "missing") for field in [*sorted(OTHER_RUN), "couplings", "rng_state"]),
+])
+def test_run_schedule_resume_rejects_each_run_field(field, how):
+    params = EnsembleParams(n=8, seed=33)
+    schedule = Schedule(stages=((0.5, 200),))
+    payloads = []
+    run_schedule(params, schedule, np.random.default_rng(4), payloads.append, checkpoint_every=100)
+    payload = dict(payloads[0])
+    if how == "changed":
+        payload[field] = OTHER_RUN[field]
+    else:
+        del payload[field]
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        run_schedule(params, schedule, np.random.default_rng(4), resume=payload)

@@ -16,7 +16,6 @@ from syklab.pauli import (
     PAULI_MATRICES,
     accumulate_string,
     hermitian_monomial,
-    identity_string,
     majorana_matrix,
     majorana_monomial,
     majorana_string,
@@ -125,7 +124,7 @@ def test_size4_monomial_squares_to_identity():
 def test_string_str_form():
     assert str(majorana_monomial((0, 1), 2)) == "+i Z"
     assert str(PauliString(("X", "Z", "Y"), -1.0)) == "-1 XZY"
-    assert str(identity_string(2)) == "+1 II"
+    assert str(PauliString(("I", "I"))) == "+1 II"
 
 
 letters_st = st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=4)

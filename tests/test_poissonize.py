@@ -7,7 +7,6 @@ from syklab.pauli import sector_split
 from syklab.poissonize import (
     EigenvaluePool,
     build_pool,
-    delta_h_diagnostics,
     poissonize,
     poissonize_member,
 )
@@ -58,9 +57,8 @@ def test_identity_draw_reconstructs_target():
     pair = poissonize(h, pool, np.random.default_rng(0), identity_draw=True)
     rel = np.linalg.norm(pair.delta()) / np.linalg.norm(h)
     assert rel < 1e-12
-    diag = delta_h_diagnostics(pair)
-    assert diag.relative < 1e-12
-    assert max(diag.max_level_shift.values()) == 0.0
+    for old, new in zip(pair.spectra, pair.poissonized_spectra):
+        assert np.array_equal(new.eigenvalues, old.eigenvalues)
 
 
 def test_poissonized_operator_structure():
@@ -71,8 +69,8 @@ def test_poissonized_operator_structure():
     assert np.max(np.abs(hp - hp.conj().T)) < 1e-12
     sector_split(hp)
     # replaced levels are sorted pool values, placed rank to rank
-    for s in pair.spectra:
-        d_prime = pair.replaced[s.sector]
+    for s, new in zip(pair.spectra, pair.poissonized_spectra):
+        d_prime = new.eigenvalues
         assert np.all(np.diff(d_prime) >= 0.0)
         assert np.all(np.isin(d_prime, pool.sector(s.sector)))
         block = hp[np.ix_(s.basis_indices, s.basis_indices)]
@@ -84,19 +82,33 @@ def test_delta_commutes_with_original():
     params, h = target()
     pool = build_pool(params, members=24)
     pair = poissonize(h, pool, np.random.default_rng(7))
-    diag = delta_h_diagnostics(pair)
-    scale = np.linalg.norm(h) * np.linalg.norm(pair.delta())
-    assert diag.commutator < 1e-11 * max(scale, 1e-300)
-    assert 0.01 < diag.relative < 0.9  # small but nonzero surgery at n=10
+    delta = pair.delta()
+    commutator = np.linalg.norm(h @ delta - delta @ h)
+    scale = np.linalg.norm(h) * np.linalg.norm(delta)
+    assert commutator < 1e-11 * max(scale, 1e-300)
+    relative = np.linalg.norm(delta) / np.linalg.norm(pair.poissonized)
+    assert 0.01 < relative < 0.9  # small but nonzero surgery at n=10
 
 
 def test_eigenvectors_are_shared_with_target():
     params, h = target(seed=33)
     pool = build_pool(params, members=32)
     pair = poissonize(h, pool, np.random.default_rng(2))
-    re_even, _ = diagonalize(pair.poissonized)
+    # the pair carries the spectrum of H' = U D' U^dag: D' on the eigenbasis of H
+    replay = np.random.default_rng(2)
+    for old, new in zip(pair.spectra, pair.poissonized_spectra):
+        values = pool.sector(old.sector)
+        d_prime = np.sort(values[replay.integers(0, values.size, size=old.eigenvalues.size)])
+        assert new.sector == old.sector
+        assert np.array_equal(new.eigenvalues, d_prime)
+        assert np.array_equal(new.eigenvectors, old.eigenvectors)
+        assert np.array_equal(new.basis_indices, old.basis_indices)
+    rediagonalized = diagonalize(pair.poissonized)
+    for fresh, new in zip(rediagonalized, pair.poissonized_spectra):
+        assert np.max(np.abs(fresh.eigenvalues - new.eigenvalues)) < 1e-12
+    re_even = rediagonalized[0]
     old_even = pair.spectra[0]
-    d_prime = pair.replaced["even"]
+    d_prime = pair.poissonized_spectra[0].eigenvalues
     gaps = np.diff(d_prime)
     for k in range(d_prime.size):
         # only well separated replacement levels identify a unique vector
@@ -115,7 +127,7 @@ def test_pool_draws_match_pool_density():
     draws = []
     for _ in range(10_000 // h.shape[0]):
         pair = poissonize(h, pool, rng)
-        draws.append(np.concatenate([pair.replaced["even"], pair.replaced["odd"]]))
+        draws.append(np.concatenate([s.eigenvalues for s in pair.poissonized_spectra]))
     draws = np.concatenate(draws)
     combined = np.concatenate([pool.even, pool.odd])
     assert ks_2samp(draws, combined).statistic <= 0.05
@@ -125,8 +137,8 @@ def test_without_replacement_variant():
     params, h = target()
     pool = build_pool(params, members=24)
     pair = poissonize(h, pool, np.random.default_rng(11), replace=False)
-    for tag in ("even", "odd"):
-        d = pair.replaced[tag]
+    for s in pair.poissonized_spectra:
+        d = s.eigenvalues
         assert np.unique(d).size == d.size
     tiny = EigenvaluePool(10, pool.even[:3], pool.odd[:3], 0)
     with pytest.raises(ValueError):
@@ -137,7 +149,7 @@ def test_tiny_pool_with_replacement_duplicates_levels():
     _, h = target()
     two = EigenvaluePool(10, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 0)
     pair = poissonize(h, two, np.random.default_rng(0))
-    assert np.unique(pair.replaced["even"]).size <= 2
+    assert np.unique(pair.poissonized_spectra[0].eigenvalues).size <= 2
 
 
 def test_poissonize_is_reproducible():

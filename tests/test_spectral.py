@@ -10,7 +10,6 @@ from syklab.spectral import (
     POISSON_MIN_RATIO,
     MeanDensity,
     combined_eigenvalues,
-    count_moment,
     diagonalize,
     gap_ratios,
     min_ratio_statistic,
@@ -193,4 +192,9 @@ def test_count_moment_small_monte_carlo():
     for order in (1, 2, 3):
         mc = float(np.mean(counts**order))
         se = float(np.std(counts**order) / np.sqrt(draws))
-        assert abs(mc - count_moment(order, n_levels, p_region)) < 3.0 * se + 1e-9
+        # a partition with r blocks contributes weight * N^order * p^r
+        want = sum(
+            float(t.weight) * n_levels**order * p_region ** len(t.blocks)
+            for t in poisson_moment(order, n_levels)
+        )
+        assert abs(mc - want) < 3.0 * se + 1e-9
