@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Callable
@@ -29,19 +30,22 @@ from .ensemble import (
 )
 from .errors import NumericalError
 from .exports import (
+    coefficients_table,
+    expansion_table,
+    gram_table,
+    numeric_table,
+    pool_table,
     read_checkpoint,
     read_coefficients,
     read_config,
+    series_table,
+    spectrum_table,
+    stats_table,
+    trajectory_table,
     write_checkpoint,
-    write_coefficients,
     write_config,
-    write_expansion,
-    write_gram,
     write_manifest,
-    write_pool,
-    write_series,
-    write_spectrum,
-    write_trajectory,
+    write_table,
 )
 from .metropolis import Schedule, run_schedule
 from .pauli import majorana_matrix
@@ -62,10 +66,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsembleParams:
     try:
         params = EnsembleParams(n=n, j_scale=j_scale, seed=seed)
@@ -79,9 +79,10 @@ def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsemblePara
 
 
 # The options below are parsed, and range checked, before the output
-# directory is made: name -> parse(value, settings, --large), raising
-# ValueError or UsageError on a bad value.  Commands read the parsed values;
-# run.cfg keeps the text as given.
+# directory is made: _PARSERS maps a name to parse(value, settings, --large),
+# raising ValueError or UsageError on a bad value, and _AT_LEAST holds the
+# least value of each bounded integer option.  Commands read the parsed
+# values; run.cfg keeps the text as given.
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -124,27 +125,27 @@ def _trend(text: str, s: dict, large: bool) -> tuple[EnsembleParams, ...]:
     return tuple(_make_params(nn, s["j_scale"], s["seed"], large) for nn in _ints(text))
 
 
-def _size_cut(k: int, s: dict, large: bool) -> int:
-    if k < 0:
-        raise ValueError("the locality cut must be nonnegative")
-    return k
-
-
 _PARSERS = {
     "betas": _betas, "otoc_pair": _otoc_pair, "two_point": _fermions,
-    "trend_n": _trend, "size_cut": _size_cut, "stages": _stages,
+    "trend_n": _trend, "stages": _stages,
+}
+_AT_LEAST = {
+    "samples": 1, "bins": 1, "t_points": 1, "trend_samples": 1, "window": 1, "checkpoint_every": 1,
+    "size_cut": 0, "omega": 0, "member": 0, "pool_start": 0, "draw_stream": 0, "chain_stream": 0,
 }
 
 
 def _parsed(s: dict, large: bool) -> dict:
-    """The settings with every option of _PARSERS parsed; a bad value is a usage error."""
+    """The settings with _PARSERS applied and _AT_LEAST checked; a bad value is a usage error."""
     values = dict(s)
-    for name, parse in _PARSERS.items():
-        if name in s:
-            try:
-                values[name] = parse(s[name], s, large)
-            except (ValueError, UsageError) as exc:
-                raise UsageError(f"--{name.replace('_', '-')} {s[name]!r}: {exc}") from None
+    for name in s:
+        try:
+            if name in _PARSERS:
+                values[name] = _PARSERS[name](s[name], s, large)
+            if name in _AT_LEAST and s[name] < _AT_LEAST[name]:
+                raise ValueError(f"must be at least {_AT_LEAST[name]}")
+        except (ValueError, UsageError) as exc:
+            raise UsageError(f"--{name.replace('_', '-')} {s[name]!r}: {exc}") from None
     return values
 
 
@@ -155,30 +156,24 @@ def _open_out(out: str | None) -> str:
     return out
 
 
-def _finish(out: str, settings: dict, files: list[str]) -> int:
-    cfg_path = os.path.join(out, "run.cfg")
-    write_config(cfg_path, {k: str(v) for k, v in settings.items()})
-    paths = [cfg_path] + [os.path.join(out, f) for f in files]
-    write_manifest(os.path.join(out, "manifest.json"), {k: str(v) for k, v in settings.items()}, paths)
+def _finish(out: str, settings: dict, tables: dict) -> int:
+    """Write the tables, run.cfg and last the manifest, which marks the run complete.
+
+    An earlier run's manifest goes first, so that it never vouches for files
+    this run has replaced.  A name mapped to None is a file the command
+    wrote itself: the manifest lists it.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out, "manifest.json"))
+    for name, table in tables.items():
+        if table is not None:
+            write_table(os.path.join(out, name), table)
+    cfg = {k: str(v) for k, v in settings.items()}
+    write_config(os.path.join(out, "run.cfg"), cfg)
+    paths = [os.path.join(out, name) for name in ["run.cfg", *tables]]
+    write_manifest(os.path.join(out, "manifest.json"), cfg, paths)
     print(f"wrote {len(paths)} files + manifest.json to {out}")
     return 0
-
-
-def _write_stats(path, rows) -> None:
-    with open(path, "w") as f:
-        f.write("quantity,value\n")
-        for name, value in rows:
-            f.write(f"{name},{_fmt(value)}\n")
-
-
-def _ratio_histogram(path, ratios: np.ndarray, bins: int) -> None:
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    density, _ = np.histogram(ratios, bins=edges, density=True)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    with open(path, "w") as f:
-        f.write("r,density\n")
-        for r, d in zip(centers, density):
-            f.write(f"{_fmt(r)},{_fmt(d)}\n")
 
 
 def _sector_ratio_pool(spectra) -> np.ndarray:
@@ -192,23 +187,21 @@ def _pool(params: EnsembleParams, s: dict):
 
 # Each command below takes its resolved settings `s` (the options of
 # _PARSERS already parsed), the ensemble built from them and the output
-# directory, and returns the names of the data files it wrote.
+# directory, and returns its data files as {file name: table}; main writes
+# them once the command has returned, so a failed run writes none.
 
 
-def cmd_sample(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_sample(s: dict, params: EnsembleParams, out: str) -> dict:
     couplings = sample_couplings(params, member=s["member"])
     spectra = diagonalize(build_hamiltonian(couplings), need_vectors=False)
-    write_coefficients(os.path.join(out, "coefficients.csv"), couplings)
-    write_spectrum(os.path.join(out, "spectrum.csv"), spectra)
     total = sum(sec.eigenvalues.size for sec in spectra)
     print(f"n={s['n']} member={s['member']}: {couplings.values.size} couplings, {total} eigenvalues")
-    return ["coefficients.csv", "spectrum.csv"]
+    return {"coefficients.csv": coefficients_table(couplings), "spectrum.csv": spectrum_table(spectra)}
 
 
-def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
     n = s["n"]
     pool = _pool(params, s)
-    write_pool(os.path.join(out, "pool.csv"), pool)
 
     orig, poiss, reloc = [], [], []
     delta_rel, nonlocal_fracs = [], []
@@ -225,19 +218,8 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> list[str]:
         h_norm = float(np.linalg.norm(pair.poissonized))
         d_norm = float(np.linalg.norm(delta))
         delta_rel.append(d_norm / h_norm)
-        nonlocal_fracs.append(0.0 if d_norm == 0.0 else nonlocal_fraction(pair.poissonized, n))
+        nonlocal_fracs.append(0.0 if d_norm == 0.0 else expansion.nonlocal_fraction())
     orig, poiss, reloc = map(np.concatenate, (orig, poiss, reloc))
-
-    _ratio_histogram(os.path.join(out, "ratio_hist_original.csv"), orig, s["bins"])
-    _ratio_histogram(os.path.join(out, "ratio_hist_poissonized.csv"), poiss, s["bins"])
-    _ratio_histogram(os.path.join(out, "ratio_hist_relocalized.csv"), reloc, s["bins"])
-    # iid levels: min-ratio density 2/(1+r)^2 on [0,1], written on the same grid
-    edges = np.linspace(0.0, 1.0, s["bins"] + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    with open(os.path.join(out, "ratio_hist_reference.csv"), "w") as f:
-        f.write("r,density\n")
-        for r in centers:
-            f.write(f"{_fmt(r)},{_fmt(2.0 / (1.0 + r) ** 2)}\n")
 
     gue = reference_ratio_statistic("gue")
     poisson_ref = reference_ratio_statistic("poisson")
@@ -252,16 +234,23 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> list[str]:
         ("mean_delta_rel_norm", float(np.mean(delta_rel))),
         ("mean_nonlocal_fraction", float(np.mean(nonlocal_fracs))),
     ]
-    _write_stats(os.path.join(out, "stats.csv"), rows)
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    return [
-        "pool.csv", "ratio_hist_original.csv", "ratio_hist_poissonized.csv",
-        "ratio_hist_relocalized.csv", "ratio_hist_reference.csv", "stats.csv",
-    ]
+
+    tables = {"pool.csv": pool_table(pool)}
+    edges = np.linspace(0.0, 1.0, s["bins"] + 1)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    for tag, ratios in (("original", orig), ("poissonized", poiss), ("relocalized", reloc)):
+        density, _ = np.histogram(ratios, bins=edges, density=True)
+        tables[f"ratio_hist_{tag}.csv"] = numeric_table("r,density", zip(centers, density))
+    # iid levels: min-ratio density 2/(1+r)^2 on [0,1], written on the same grid
+    reference = ((r, 2.0 / (1.0 + r) ** 2) for r in centers)
+    tables["ratio_hist_reference.csv"] = numeric_table("r,density", reference)
+    tables["stats.csv"] = stats_table(rows)
+    return tables
 
 
-def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
     n, betas = s["n"], s["betas"]
     a, b = s["otoc_pair"]
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
@@ -275,13 +264,12 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> list[str]:
         s0, s1 = pair.spectra, pair.poissonized_spectra
         modified_tag = "poissonized"
 
-    files = []
+    tables = {}
     deviations = []
     otoc0 = [otoc(s0, a, b, beta, times) for beta in betas]
     otoc1 = [otoc(s1, a, b, beta, times) for beta in betas]
-    write_series(os.path.join(out, "otoc_original.csv"), otoc0)
-    write_series(os.path.join(out, f"otoc_{modified_tag}.csv"), otoc1)
-    files += ["otoc_original.csv", f"otoc_{modified_tag}.csv"]
+    tables["otoc_original.csv"] = series_table(otoc0)
+    tables[f"otoc_{modified_tag}.csv"] = series_table(otoc1)
     for beta, x, y in zip(betas, otoc0, otoc1):
         deviations.append(("otoc", beta, compare_series(x, y).max_deviation))
     if 0.0 in betas:
@@ -292,27 +280,22 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> list[str]:
         psi = majorana_matrix(i, n)
         g0 = [two_point(s0, psi, beta, times) for beta in betas]
         g1 = [two_point(s1, psi, beta, times) for beta in betas]
-        write_series(os.path.join(out, f"two_point_f{i}_original.csv"), g0)
-        write_series(os.path.join(out, f"two_point_f{i}_{modified_tag}.csv"), g1)
-        files += [f"two_point_f{i}_original.csv", f"two_point_f{i}_{modified_tag}.csv"]
+        tables[f"two_point_f{i}_original.csv"] = series_table(g0)
+        tables[f"two_point_f{i}_{modified_tag}.csv"] = series_table(g1)
         for beta, x, y in zip(betas, g0, g1):
             deviations.append((f"two_point_f{i}", beta, compare_series(x, y).max_deviation))
 
-    with open(os.path.join(out, "deviation.csv"), "w") as f:
-        f.write("series,beta,max_deviation\n")
-        for name, beta, dev in deviations:
-            f.write(f"{name},{_fmt(beta)},{_fmt(dev)}\n")
-    files.append("deviation.csv")
+    tables["deviation.csv"] = numeric_table("series,beta,max_deviation", deviations)
     worst = max(dev for _, _, dev in deviations)
     print(f"worst deviation vs {modified_tag}: {worst:.4f} over {len(deviations)} series")
-    return files
+    return tables
 
 
-def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> dict:
     n, k = s["n"], s["size_cut"]
     pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
 
-    files = []
+    tables = {}
     stats = []
     for tag, op in (("original", pair.original), ("poissonized", pair.poissonized)):
         expansion = majorana_coefficients(op, n)
@@ -322,17 +305,10 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> list[str]:
         if not rel <= 1e-8:
             raise FloatingPointError(f"parseval violated for {tag}: {rel:.3e}")
         sizes = size_spectrum(expansion)
-        total = float(np.sum(sizes))
-        path = os.path.join(out, f"size_spectrum_{tag}.csv")
-        with open(path, "w") as f:
-            f.write("k,weight,share\n")
-            for kk, w in enumerate(sizes):
-                f.write(f"{kk},{_fmt(w)},{_fmt(w / total)}\n")
-        files.append(os.path.basename(path))
+        shares = zip(range(n + 1), sizes, sizes / float(np.sum(sizes)))
+        tables[f"size_spectrum_{tag}.csv"] = numeric_table("k,weight,share", shares)
         stats.append((f"nonlocal_fraction_{tag}", nonlocal_fraction(op, n, k)))
-    expansion_path = os.path.join(out, "expansion_poissonized.csv")
-    write_expansion(expansion_path, majorana_coefficients(pair.poissonized, n))
-    files.append("expansion_poissonized.csv")
+    tables["expansion_poissonized.csv"] = expansion_table(majorana_coefficients(pair.poissonized, n))
 
     if s["trend_n"]:
         rows = []
@@ -347,20 +323,17 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> list[str]:
             mean = float(np.mean(fracs))
             rows.append((nn, len(fracs), mean, 0.0 if prev is None else mean / prev, 2.0 ** (-nn / 4.0)))
             prev = mean
-        with open(os.path.join(out, "trend.csv"), "w") as f:
-            f.write("n,samples,mean_fraction,ratio_to_prev,geometric_ref\n")
-            for nn, cnt, mean, ratio, ref in rows:
-                f.write(f"{nn},{cnt},{_fmt(mean)},{_fmt(ratio)},{_fmt(ref)}\n")
-                print(f"n={nn}: mean nonlocal fraction {mean:.4f} (2^(-n/4) = {ref:.4f})")
-        files.append("trend.csv")
+        for nn, _, mean, _, ref in rows:
+            print(f"n={nn}: mean nonlocal fraction {mean:.4f} (2^(-n/4) = {ref:.4f})")
+        tables["trend.csv"] = numeric_table("n,samples,mean_fraction,ratio_to_prev,geometric_ref", rows)
 
-    _write_stats(os.path.join(out, "stats.csv"), stats)
-    files.append("stats.csv")
-    return files
+    tables["stats.csv"] = stats_table(stats)
+    return tables
 
 
-def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
     schedule = Schedule(stages=s["stages"], window=s["window"])
+    # the one file written while the command runs: it must outlive a failed chain
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
     resume_payload = read_checkpoint(s["resume"]) if s["resume"] else None
@@ -374,11 +347,6 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> list[str]:
     initial = sample_couplings(params, member=s["member"])
     s0 = diagonalize(build_hamiltonian(initial), need_vectors=False)
     s1 = diagonalize(build_hamiltonian(result.couplings), need_vectors=False)
-    write_coefficients(os.path.join(out, "coefficients.csv"), result.couplings)
-    write_trajectory(os.path.join(out, "trajectory.csv"), result.trajectory)
-    write_spectrum(os.path.join(out, "spectrum_initial.csv"), s0)
-    write_spectrum(os.path.join(out, "spectrum_final.csv"), s1)
-
     stat0 = min_ratio_statistic(_sector_ratio_pool(s0))
     stat1 = min_ratio_statistic(_sector_ratio_pool(s1))
     ks = float(ks_2samp(combined_eigenvalues(s0), combined_eigenvalues(s1)).statistic)
@@ -389,16 +357,21 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> list[str]:
         ("ks_distance", ks),
         ("trace_drift", drift),
     ]
-    _write_stats(os.path.join(out, "stats.csv"), rows)
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    files = ["coefficients.csv", "trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv", "stats.csv"]
+    tables = {
+        "coefficients.csv": coefficients_table(result.couplings),
+        "trajectory.csv": trajectory_table(result.trajectory),
+        "spectrum_initial.csv": spectrum_table(s0),
+        "spectrum_final.csv": spectrum_table(s1),
+        "stats.csv": stats_table(rows),
+    }
     if os.path.exists(checkpoint_path):
-        files.append("checkpoint.json")
-    return files
+        tables["checkpoint.json"] = None
+    return tables
 
 
-def cmd_gram(s: dict, params: EnsembleParams, out: str) -> list[str]:
+def cmd_gram(s: dict, params: EnsembleParams, out: str) -> dict:
     n = s["n"]
     dim = 2 ** (n // 2)
     omega = s["omega"] if s["omega"] > 0 else dim
@@ -407,7 +380,6 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str) -> list[str]:
     pool = _pool(params, s)
     pair = poissonize_member(params, pool, s["member"], s["draw_stream"])
     gram = tfd_gram(pair.poissonized_spectra, beta=beta, t1=s["t1"], omega=omega)
-    write_gram(os.path.join(out, "gram.csv"), gram.matrix)
 
     energies = combined_eigenvalues(pair.poissonized_spectra)
     shifted = energies - energies.min()
@@ -436,10 +408,9 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str) -> list[str]:
             ("moment2_mc_stderr", float(np.std(draws) / np.sqrt(draws.size))),
             ("moment2_mc_draws", float(draws.size)),
         ]
-    _write_stats(os.path.join(out, "report.csv"), rows)
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    return ["gram.csv", "report.csv"]
+    return {"gram.csv": gram_table(gram.matrix), "report.csv": stats_table(rows)}
 
 
 # Every option once: name -> (type, default, help).  Its flag is "--" plus
@@ -493,7 +464,7 @@ _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 class Command:
     """A subcommand: its settings in run.cfg order and its own defaults."""
 
-    run: Callable[[dict, EnsembleParams, str], list[str]]
+    run: Callable[[dict, EnsembleParams, str], dict]
     help: str
     options: tuple[str, ...]
     defaults: dict = field(default_factory=dict)

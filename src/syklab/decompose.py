@@ -152,6 +152,10 @@ class FermionExpansion:
         """Sum of squared coefficients; tr(A^2)/2^{n/2} for Hermitian A."""
         return float(np.dot(self.coefficients, self.coefficients))
 
+    def nonlocal_fraction(self, k: int = 4) -> float:
+        """nonlocal_fraction of the expanded operator, read off the coefficients."""
+        return _tail_fraction(size_spectrum(self), k)
+
 
 def majorana_coefficients(
     a: DenseOperator, n: int, threshold: float = SPARSE_THRESHOLD, imag_tol: float = 1e-10
@@ -206,18 +210,22 @@ def size_spectrum(expansion: FermionExpansion) -> np.ndarray:
     return _size_weights(expansion.coefficients**2, expansion.n)
 
 
-def nonlocal_fraction(a: DenseOperator, n: int, k: int = 4) -> float:
-    """Frobenius weight fraction carried by monomials of size > k."""
+def _tail_fraction(weights: np.ndarray, k: int) -> float:
+    """Square root of the share of the per-size weights that sizes > k carry."""
     if k < 0:
         raise ValueError(f"size cut must be nonnegative, got {k}")
+    total = float(np.sum(weights))
+    if total == 0.0:
+        raise ValueError("operator has zero weight")
+    return float(np.sqrt(np.sum(weights[k + 1 :]) / total))
+
+
+def nonlocal_fraction(a: DenseOperator, n: int, k: int = 4) -> float:
+    """Frobenius weight fraction carried by monomials of size > k."""
     dim = 2 ** (n // 2)
     if a.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)} for n={n}, got {a.shape}")
-    s = _size_weights(np.abs(_tensor_decompose(a)) ** 2, n)
-    total = float(np.sum(s))
-    if total == 0.0:
-        raise ValueError("operator has zero weight")
-    return float(np.sqrt(np.sum(s[k + 1 :]) / total))
+    return _tail_fraction(_size_weights(np.abs(_tensor_decompose(a)) ** 2, n), k)
 
 
 def truncate_local(

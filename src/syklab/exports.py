@@ -1,14 +1,17 @@
 """Plain-text data exports and their exact-round-trip readers.
 
-Every numeric field is written with 17 significant digits so that
-reading a file back reproduces the in-memory doubles bit for bit.
-All tables carry a one-line header naming their columns.
+A table is a pair (header, rows): the line naming its columns and lazy
+rows of formatted fields.  `write_table` writes every table file.
+Numbers get 17 significant digits so that reading a file back reproduces
+the in-memory doubles bit for bit.  Every file is written to a temporary
+file, synced and renamed over its path, so a write that dies part-way
+leaves the previous file intact.
 """
 
 import hashlib
 import json
 import os
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -24,11 +27,31 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_table(path, header: str, rows) -> None:
-    with open(path, "w") as f:
+def _replace(path, write) -> None:
+    """Let write(f) fill a temporary file, sync it and rename it over path."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_table(path, table) -> None:
+    """Write a (header, rows) table as comma-separated lines."""
+    header, rows = table
+
+    def write(f):
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(row) + "\n")
+
+    _replace(path, write)
 
 
 def _read_table(path, header: str) -> list[list[str]]:
@@ -39,14 +62,14 @@ def _read_table(path, header: str) -> list[list[str]]:
         return [line.rstrip("\n").split(",") for line in f if line.strip()]
 
 
-def write_coefficients(path, couplings: CouplingTensor) -> None:
+def coefficients_table(couplings: CouplingTensor):
     """One row per 4-subset in lexicographic order."""
     subsets = coupling_subsets(couplings.n)
     rows = (
         (str(a), str(b), str(c), str(d), _fmt(v))
         for (a, b, c, d), v in zip(subsets, couplings.values)
     )
-    _write_table(path, "i1,i2,i3,i4,value", rows)
+    return "i1,i2,i3,i4,value", rows
 
 
 def read_coefficients(path) -> CouplingTensor:
@@ -69,13 +92,13 @@ def read_coefficients(path) -> CouplingTensor:
     return CouplingTensor(n, values)
 
 
-def write_spectrum(path, spectra) -> None:
+def spectrum_table(spectra):
     rows = (
         (s.sector, str(i), _fmt(e))
         for s in spectra
         for i, e in enumerate(s.eigenvalues)
     )
-    _write_table(path, "sector,index,eigenvalue", rows)
+    return "sector,index,eigenvalue", rows
 
 
 def read_spectrum(path) -> dict[str, np.ndarray]:
@@ -86,16 +109,14 @@ def read_spectrum(path) -> dict[str, np.ndarray]:
     return {tag: np.array(vals) for tag, vals in out.items()}
 
 
-def write_series(path, series) -> None:
+def series_table(series):
     """One file holds any number of series; rows group by beta."""
-    if isinstance(series, CorrelatorSeries):
-        series = (series,)
     rows = (
         (_fmt(s.beta), _fmt(t), _fmt(v.real), _fmt(v.imag))
         for s in series
         for t, v in zip(s.times, s.values)
     )
-    _write_table(path, "beta,t,re,im", rows)
+    return "beta,t,re,im", rows
 
 
 def read_series(path) -> tuple[CorrelatorSeries, ...]:
@@ -110,14 +131,14 @@ def read_series(path) -> tuple[CorrelatorSeries, ...]:
     return tuple(out)
 
 
-def write_gram(path, matrix) -> None:
+def gram_table(matrix):
     matrix = np.asarray(matrix)
     rows = (
         (str(j), str(k), _fmt(matrix[j, k].real), _fmt(matrix[j, k].imag))
         for j in range(matrix.shape[0])
         for k in range(matrix.shape[1])
     )
-    _write_table(path, "j,k,re,im", rows)
+    return "j,k,re,im", rows
 
 
 def read_gram(path) -> np.ndarray:
@@ -131,13 +152,13 @@ def read_gram(path) -> np.ndarray:
     return out
 
 
-def write_pool(path, pool: EigenvaluePool) -> None:
+def pool_table(pool: EigenvaluePool):
     rows = (
         (tag, _fmt(e))
         for tag in ("even", "odd")
         for e in pool.sector(tag)
     )
-    _write_table(path, "sector,eigenvalue", rows)
+    return "sector,eigenvalue", rows
 
 
 def read_pool(path) -> dict[str, np.ndarray]:
@@ -147,21 +168,28 @@ def read_pool(path) -> dict[str, np.ndarray]:
     return {tag: np.array(vals) for tag, vals in out.items()}
 
 
-def write_expansion(path, expansion: FermionExpansion) -> None:
+def expansion_table(expansion: FermionExpansion):
     """Nonzero coefficients by monomial size, then by lexicographic indices.
 
     Indices are dash-separated and ascending; the identity row has empty
-    indices.
+    indices.  The row order is worked out only when the rows are read.
     """
+    return "indices,value", _expansion_rows(expansion)
+
+
+def _expansion_rows(expansion: FermionExpansion):
     n = expansion.n
     masks = np.arange(2**n)
     # same-size index tuples sort lexicographically as their bit-reversed masks sort descending
     reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
     order = np.lexsort((-reversed_masks, np.bitwise_count(masks)))
-    values = expansion.coefficients[subset_data(n // 2)[3][order]].tolist()
-    subsets = chain.from_iterable(combinations(range(n), size) for size in range(n + 1))
-    rows = (("-".join(map(str, idx)), _fmt(v)) for idx, v in zip(subsets, values) if v != 0.0)
-    _write_table(path, "indices,value", rows)
+    values = expansion.coefficients[subset_data(n // 2)[3][order]]
+    start = 0
+    for size in range(n + 1):  # one size at a time: floats for all 2^n rows would raise the peak RSS
+        block = values[start : start + comb(n, size)].tolist()
+        start += len(block)
+        subsets = combinations(range(n), size)
+        yield from (("-".join(map(str, idx)), _fmt(v)) for idx, v in zip(subsets, block) if v != 0.0)
 
 
 def read_expansion(path, n: int) -> FermionExpansion:
@@ -172,12 +200,12 @@ def read_expansion(path, n: int) -> FermionExpansion:
     return FermionExpansion(n=n, coefficients=coefficients)
 
 
-def write_trajectory(path, rows) -> None:
+def trajectory_table(rows):
     out = (
         (str(r.step), _fmt(r.beta_d), _fmt(r.objective), _fmt(r.sigma), _fmt(r.accept_rate))
         for r in rows
     )
-    _write_table(path, "step,beta_D,f,sigma,accept_rate", out)
+    return "step,beta_D,f,sigma,accept_rate", out
 
 
 def read_trajectory(path) -> tuple[TrajectoryRow, ...]:
@@ -190,6 +218,16 @@ def read_trajectory(path) -> tuple[TrajectoryRow, ...]:
     )
 
 
+def numeric_table(header: str, rows):
+    """A table of text and number fields; numbers get 17 significant digits."""
+    return header, (tuple(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+
+
+def stats_table(rows):
+    """(quantity name, value) pairs, one per row."""
+    return numeric_table("quantity,value", rows)
+
+
 def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
@@ -200,25 +238,17 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def write_checkpoint(path, payload: dict) -> None:
-    """Replace the checkpoint at path in one step.
+def _write_json(path, payload, **options) -> None:
+    def write(f):
+        json.dump(payload, f, default=_json_default, indent=1, **options)
+        f.write("\n")
 
-    The payload goes to a temporary file in the same directory, is synced
-    to disk and then renamed over path, so a write that dies part-way
-    leaves the previous checkpoint intact.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as f:
-            json.dump(payload, f, default=_json_default, indent=1)
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    _replace(path, write)
+
+
+def write_checkpoint(path, payload: dict) -> None:
+    """Replace the checkpoint at path in one step; a failed write keeps the previous one."""
+    _write_json(path, payload)
 
 
 def read_checkpoint(path) -> dict:
@@ -248,10 +278,7 @@ def write_manifest(path, params: dict, file_paths) -> None:
             "sha256": sha256_of(p),
             "bytes": os.path.getsize(p),
         }
-    payload = {"params": params, "files": files}
-    with open(path, "w") as f:
-        json.dump(payload, f, default=_json_default, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(path, {"params": params, "files": files}, sort_keys=True)
 
 
 def read_manifest(path) -> dict:
@@ -275,6 +302,4 @@ def read_config(path) -> dict[str, str]:
 
 
 def write_config(path, mapping: dict) -> None:
-    with open(path, "w") as f:
-        for key, value in mapping.items():
-            f.write(f"{key}={value}\n")
+    _replace(path, lambda f: f.writelines(f"{key}={value}\n" for key, value in mapping.items()))

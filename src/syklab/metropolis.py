@@ -164,12 +164,13 @@ def adapt_sigma(state: ChainState, schedule: Schedule = Schedule()) -> ChainStat
 def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sector: bool) -> dict:
     """The checkpoint fields that name a run; a resume must match every one."""
     return {
-        "version": 1,
+        "version": 2,
         "n": params.n,
         "seed": params.seed,
         "j_scale": params.j_scale,
         "member": member,
         "stages": [[float(b), int(s)] for b, s in schedule.stages],
+        "window": schedule.window,
         "per_sector": per_sector,
     }
 
@@ -224,8 +225,8 @@ def run_schedule(
     ------
     ValueError
         If the resume payload lacks a field, or was recorded with another
-        version, n, seed, j_scale, member, stage list or per_sector; the
-        message names the field.
+        version, n, seed, j_scale, member, stage list, window or
+        per_sector; the message names the field.
     """
     if resume is not None:
 

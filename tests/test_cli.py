@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syklab import exports
+from syklab import cli, exports
 from syklab.cli import build_parser, main
 from syklab.ensemble import EnsembleParams, sample_couplings
 from syklab.exports import (
@@ -108,6 +108,8 @@ def test_run_cfg_round_trips_through_config(tmp_path, command):
     assert main([command, "--config", str(first / "run.cfg"), "--out", str(second)]) == 0
     a, b = _snapshot(first), _snapshot(second)
     assert a.keys() == b.keys()
+    # the manifest lists every file of the run, and nothing else is left behind
+    assert a.keys() == read_manifest(first / "manifest.json")["files"].keys() | {"manifest.json"}
     for name in a.keys() - {"run.cfg", "manifest.json"}:
         assert a[name] == b[name], name
     cfg_a, cfg_b = read_config(first / "run.cfg"), read_config(second / "run.cfg")
@@ -132,17 +134,26 @@ def test_benchmark_command_lines_parse():
 def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     # perfbench/spans.py rebinds syklab functions by name and raises when one is gone
     root = Path(__file__).resolve().parents[1]
-    result = tmp_path / "result.json"
-    argv = ["poissonize", "--n", "8", "--samples", "2", "--pool-members", "4",
-            "--seed", "42", "--out", str(tmp_path / "run")]
-    spec = {"root": str(root), "argv": argv, "trace": True, "run_id": "guard", "result": str(result)}
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "runner.py"), json.dumps(spec)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    functions = json.loads(result.read_text())["trace"]["functions"]
+
+    def traced(argv, run_id):
+        result = tmp_path / f"{run_id}.json"
+        argv = [*argv, "--n", "8", "--pool-members", "4", "--seed", "42", "--out", str(tmp_path / run_id)]
+        spec = {"root": str(root), "argv": argv, "trace": True, "run_id": run_id, "result": str(result)}
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "runner.py"), json.dumps(spec)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(result.read_text())["trace"]
+
+    functions = traced(["poissonize", "--samples", "2"], "poissonize")["functions"]
     assert functions["poissonize.poissonize"]["calls"] == 2
+    # every table, the 2^n-row expansion included, goes through the one traced writer
+    trace = traced(["decompose", "--trend-n", "8", "--trend-samples", "2"], "decompose")
+    assert trace["functions"]["exports.write_table"]["calls"] == 5
+    assert trace["functions"]["decompose.majorana_coefficients"]["calls"] == 3
+    written = sum(p.stat().st_size for p in (tmp_path / "decompose").iterdir())
+    assert trace["counters"]["exports.bytes_written"] == written
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -156,6 +167,14 @@ def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     (["decompose", "--pool-members", "4", "--trend-n", "8,ten"], "--trend-n"),
     (["decompose", "--pool-members", "4", "--trend-n", "8,22"], "--trend-n"),
     (["decompose", "--pool-members", "4", "--size-cut", "-6"], "--size-cut"),
+    (["decompose", "--pool-members", "4", "--trend-n", "8", "--trend-samples", "0"], "--trend-samples"),
+    (["metropolis", "--checkpoint-every", "0"], "--checkpoint-every"),
+    (["metropolis", "--window", "0"], "--window"),
+    (["correlators", "--pool-members", "4", "--t-points", "0"], "--t-points"),
+    (["poissonize", "--pool-members", "4", "--samples", "0"], "--samples"),
+    (["poissonize", "--pool-members", "4", "--bins", "0"], "--bins"),
+    (["sample", "--member", "-1"], "--member"),
+    (["gram", "--pool-members", "4", "--omega", "-3"], "--omega"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -329,7 +348,8 @@ CHAIN = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
     (None, ["--member", "5", "--j-scale", "2", "--per-sector", "--stages", "0.5:250,1.0:100"], "j_scale"),
     (None, ["--stages", "0.5:250,1.0:100"], "stages"),
     (None, ["--per-sector"], "per_sector"),
-], ids=["empty", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector"])
+    (None, ["--window", "25"], "window"),
+], ids=["empty", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window"])
 def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint, flags, named):
     path = tmp_path / "checkpoint.json"
     if checkpoint is None:
@@ -354,6 +374,51 @@ def test_gram_single_state_has_rank_one(tmp_path):
     assert float(report["rank"]) == 1.0
     gram_rows = (out / "gram.csv").read_text().splitlines()
     assert len(gram_rows) == 2
+
+
+# per command, a library call it makes after it has computed some of its tables
+LATE_CALL = {
+    "poissonize": "min_ratio_statistic", "correlators": "compare_series",
+    "decompose": "nonlocal_fraction", "metropolis": "min_ratio_statistic", "gram": "gram_rank",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LATE_CALL))
+def test_a_failed_run_writes_no_output(tmp_path, monkeypatch, command):
+    argv = [command, "--n", "8", *ROUND_TRIP[command]]
+    complete = tmp_path / "complete"
+    assert main([*argv, "--out", str(complete)]) == 0
+    before = _snapshot(complete)
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError("injected failure")
+
+    monkeypatch.setattr(cli, LATE_CALL[command], fail)
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out", str(fresh)]) == 3
+    # only the checkpoint, written while the chain runs, outlives a failure
+    assert {p.name for p in fresh.iterdir()} <= {"checkpoint.json"}
+    # a failed rerun leaves a complete earlier run as it was
+    assert main([*argv, "--out", str(complete)]) == 3
+    assert _snapshot(complete) == before
+
+
+def test_a_rerun_that_fails_while_writing_leaves_no_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["sample", "--n", "8", "--seed", "1", "--out", str(out)]) == 0
+    real_write = cli.write_table
+    written = []
+
+    def write_then_fail(path, table):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError("disk full")
+        real_write(path, table)
+
+    monkeypatch.setattr(cli, "write_table", write_then_fail)
+    assert main(["sample", "--n", "8", "--seed", "2", "--out", str(out)]) == 4
+    # the first table is the new run's, so the earlier manifest must not survive it
+    assert not (out / "manifest.json").exists()
 
 
 def test_io_error_exit_code(tmp_path):

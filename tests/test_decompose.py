@@ -176,12 +176,16 @@ def test_nonlocal_fraction_zero_for_four_local():
 
 def test_nonlocal_fraction_rejects_a_negative_cut():
     a = random_hermitian(32, 24)
-    with pytest.raises(ValueError, match="nonnegative"):
-        nonlocal_fraction(a, 10, k=-5)
+    expansion = majorana_coefficients(a, 10)
+    for fraction in (lambda k: nonlocal_fraction(a, 10, k), expansion.nonlocal_fraction):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fraction(-5)
     # k = 0 keeps only the identity: everything traceless is nonlocal
-    weights = size_spectrum(majorana_coefficients(a, 10))
+    weights = size_spectrum(expansion)
     want = np.sqrt(weights[1:].sum() / weights.sum())
     assert nonlocal_fraction(a, 10, k=0) == pytest.approx(want, rel=1e-12)
+    for k in (0, 4):
+        assert expansion.nonlocal_fraction(k) == pytest.approx(nonlocal_fraction(a, 10, k), rel=1e-12)
 
 
 def test_truncate_local_partition():

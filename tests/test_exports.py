@@ -7,6 +7,10 @@ from syklab.correlators import CorrelatorSeries, tfd_gram
 from syklab.decompose import majorana_coefficients
 from syklab.ensemble import EnsembleParams, build_hamiltonian, coupling_subsets, sample_couplings
 from syklab.exports import (
+    coefficients_table,
+    expansion_table,
+    gram_table,
+    pool_table,
     read_checkpoint,
     read_coefficients,
     read_config,
@@ -17,16 +21,13 @@ from syklab.exports import (
     read_series,
     read_spectrum,
     read_trajectory,
+    series_table,
+    spectrum_table,
+    trajectory_table,
     write_checkpoint,
-    write_coefficients,
     write_config,
-    write_expansion,
-    write_gram,
     write_manifest,
-    write_pool,
-    write_series,
-    write_spectrum,
-    write_trajectory,
+    write_table,
 )
 from syklab.metropolis import Schedule, TrajectoryRow, run_schedule
 from syklab.poissonize import build_pool
@@ -39,7 +40,7 @@ PARAMS = EnsembleParams(n=8, seed=3)
 def test_coefficients_round_trip_is_exact(tmp_path):
     couplings = sample_couplings(PARAMS, member=0)
     path = tmp_path / "coefficients.csv"
-    write_coefficients(path, couplings)
+    write_table(path, coefficients_table(couplings))
     back = read_coefficients(path)
     assert back.n == 8
     assert np.array_equal(back.values, couplings.values)
@@ -48,7 +49,7 @@ def test_coefficients_round_trip_is_exact(tmp_path):
 def test_coefficients_reader_accepts_shuffled_rows(tmp_path):
     couplings = sample_couplings(PARAMS, member=1)
     path = tmp_path / "coefficients.csv"
-    write_coefficients(path, couplings)
+    write_table(path, coefficients_table(couplings))
     lines = path.read_text().splitlines()
     rng = np.random.default_rng(0)
     body = [lines[1 + i] for i in rng.permutation(len(lines) - 1)]
@@ -72,7 +73,7 @@ def test_coefficients_reader_rejects_bad_files(tmp_path):
 def test_spectrum_round_trip(tmp_path):
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
     path = tmp_path / "spectrum.csv"
-    write_spectrum(path, spectra)
+    write_table(path, spectrum_table(spectra))
     back = read_spectrum(path)
     assert list(back) == ["even", "odd"]
     for s in spectra:
@@ -87,7 +88,7 @@ def test_series_round_trip_groups_by_beta(tmp_path):
         for b in (0.0, 2.0)
     )
     path = tmp_path / "series.csv"
-    write_series(path, series)
+    write_table(path, series_table(series))
     back = read_series(path)
     assert [s.beta for s in back] == [0.0, 2.0]
     for orig, got in zip(series, back):
@@ -99,7 +100,7 @@ def test_gram_round_trip(tmp_path):
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
     gram = tfd_gram(spectra, beta=1.0, t1=7.0, omega=6)
     path = tmp_path / "gram.csv"
-    write_gram(path, gram.matrix)
+    write_table(path, gram_table(gram.matrix))
     assert np.array_equal(read_gram(path), gram.matrix)
     path.write_text("j,k,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n")
     with pytest.raises(ValueError):
@@ -109,7 +110,7 @@ def test_gram_round_trip(tmp_path):
 def test_pool_round_trip(tmp_path):
     pool = build_pool(PARAMS, members=3)
     path = tmp_path / "pool.csv"
-    write_pool(path, pool)
+    write_table(path, pool_table(pool))
     back = read_pool(path)
     assert np.array_equal(back["even"], pool.even)
     assert np.array_equal(back["odd"], pool.odd)
@@ -120,7 +121,7 @@ def test_expansion_round_trip_and_quartic_slice(tmp_path):
     h = build_hamiltonian(couplings)
     expansion = majorana_coefficients(h, 6)
     path = tmp_path / "expansion.csv"
-    write_expansion(path, expansion)
+    write_table(path, expansion_table(expansion))
     back = read_expansion(path, n=6)
     assert np.array_equal(back.coefficients, expansion.coefficients)
     # rows run by monomial size, then lexicographically by indices
@@ -129,7 +130,7 @@ def test_expansion_round_trip_and_quartic_slice(tmp_path):
     assert keys == sorted(keys, key=lambda k: (len(k), k))
     # k=4 rows mirror the coefficient file: H carries -J per quartic monomial
     coeff_path = tmp_path / "coefficients.csv"
-    write_coefficients(coeff_path, couplings)
+    write_table(coeff_path, coefficients_table(couplings))
     tensor = read_coefficients(coeff_path)
     for idx, j in zip(coupling_subsets(tensor.n), tensor.values):
         assert back.coefficient(idx) == pytest.approx(-j, abs=1e-12)
@@ -141,8 +142,23 @@ def test_trajectory_round_trip(tmp_path):
         TrajectoryRow(step=200, beta_d=0.5, objective=13.25, sigma=0.0011, accept_rate=0.42),
     )
     path = tmp_path / "trajectory.csv"
-    write_trajectory(path, rows)
+    write_table(path, trajectory_table(rows))
     assert read_trajectory(path) == rows
+
+
+def test_a_failed_table_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "stats.csv"
+    write_table(path, ("quantity,value", [("a", "1")]))
+    before = path.read_bytes()
+
+    def rows():
+        yield "b", "2"
+        raise FloatingPointError("row failed")
+
+    with pytest.raises(FloatingPointError):
+        write_table(path, ("quantity,value", rows()))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["stats.csv"]
 
 
 def test_checkpoint_file_round_trip_preserves_replay(tmp_path):
@@ -198,5 +214,5 @@ def test_float_extremes_round_trip(tmp_path):
     values[3] = 2.0 / 3.0
     tensor = CouplingTensor(6, values)
     path = tmp_path / "coefficients.csv"
-    write_coefficients(path, tensor)
+    write_table(path, coefficients_table(tensor))
     assert np.array_equal(read_coefficients(path).values, values)

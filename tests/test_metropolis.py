@@ -251,8 +251,8 @@ def test_run_schedule_resume_rejects_other_ensemble():
 
 
 OTHER_RUN = {
-    "version": 2, "n": 10, "seed": 34, "j_scale": 2.0, "member": 5,
-    "stages": [[0.5, 200], [1.0, 200]], "per_sector": True,
+    "version": 1, "n": 10, "seed": 34, "j_scale": 2.0, "member": 5,
+    "stages": [[0.5, 200], [1.0, 200]], "window": 50, "per_sector": True,
 }
 
 
