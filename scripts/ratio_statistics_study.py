@@ -31,9 +31,7 @@ def statistics_for(n, seed, samples, pool_members, pool_start):
     rows = np.empty((samples, 3))
     for m in range(samples):
         pair = poissonize_member(params, pool, m, m)
-        local, _ = truncate_local(
-            majorana_coefficients(pair.poissonized, n), k=4, original=pair.poissonized
-        )
+        local = truncate_local(majorana_coefficients(pair.poissonized, n), k=4)
         s_reloc = diagonalize(local, need_vectors=False)
         rows[m] = (
             min_ratio_statistic(ratio_pool(pair.spectra)),

@@ -80,9 +80,10 @@ def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsemblePara
 
 # The options below are parsed, and range checked, before the output
 # directory is made: _PARSERS maps a name to parse(value, settings, --large),
-# raising ValueError or UsageError on a bad value, and _AT_LEAST holds the
-# least value of each bounded integer option.  Commands read the parsed
-# values; run.cfg keeps the text as given.
+# raising ValueError or UsageError on a bad value, _AT_LEAST holds the least
+# value of each option bounded from below and _ABOVE the bound each positive
+# option must exceed.  Commands read the parsed values; run.cfg keeps the
+# text as given.
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -131,19 +132,23 @@ _PARSERS = {
 }
 _AT_LEAST = {
     "samples": 1, "bins": 1, "t_points": 1, "trend_samples": 1, "window": 1, "checkpoint_every": 1,
-    "size_cut": 0, "omega": 0, "member": 0, "pool_start": 0, "draw_stream": 0, "chain_stream": 0,
+    "pool_members": 1, "size_cut": 0, "omega": 0, "member": 0, "pool_start": 0, "draw_stream": 0,
+    "chain_stream": 0, "beta": 0.0, "threshold": 0.0,
 }
+_ABOVE = {"t_max": 0.0, "t1": 0.0, "sigma0": 0.0}
 
 
 def _parsed(s: dict, large: bool) -> dict:
-    """The settings with _PARSERS applied and _AT_LEAST checked; a bad value is a usage error."""
+    """The settings with _PARSERS applied and the bounds checked; a bad value is a usage error."""
     values = dict(s)
     for name in s:
         try:
             if name in _PARSERS:
                 values[name] = _PARSERS[name](s[name], s, large)
-            if name in _AT_LEAST and s[name] < _AT_LEAST[name]:
-                raise ValueError(f"must be at least {_AT_LEAST[name]}")
+            if name in _AT_LEAST and not s[name] >= _AT_LEAST[name]:
+                raise ValueError(f"must be at least {_AT_LEAST[name]:g}")
+            if name in _ABOVE and not s[name] > _ABOVE[name]:
+                raise ValueError(f"must be above {_ABOVE[name]:g}")
         except (ValueError, UsageError) as exc:
             raise UsageError(f"--{name.replace('_', '-')} {s[name]!r}: {exc}") from None
     return values
@@ -182,7 +187,7 @@ def _sector_ratio_pool(spectra) -> np.ndarray:
 
 
 def _pool(params: EnsembleParams, s: dict):
-    return build_pool(params, members=s["pool_members"], start_member=s["pool_start"], jobs=s["jobs"])
+    return build_pool(params, members=s["pool_members"], start_member=s["pool_start"])
 
 
 # Each command below takes its resolved settings `s` (the options of
@@ -206,13 +211,11 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
     orig, poiss, reloc = [], [], []
     delta_rel, nonlocal_fracs = [], []
     for m in range(s["samples"]):
-        pair = poissonize_member(
-            params, pool, m, m, replace=not s["no_replace"], identity_draw=s["identity_draw"],
-        )
+        pair = poissonize_member(params, pool, m, m)
         orig.append(_sector_ratio_pool(pair.spectra))
         poiss.append(_sector_ratio_pool(pair.poissonized_spectra))
         expansion = majorana_coefficients(pair.poissonized, n)
-        local, _ = truncate_local(expansion, k=4, original=pair.poissonized)
+        local = truncate_local(expansion, k=4)
         reloc.append(_sector_ratio_pool(diagonalize(local, need_vectors=False)))
         delta = pair.delta()
         h_norm = float(np.linalg.norm(pair.poissonized))
@@ -428,10 +431,7 @@ OPTIONS = {
     "samples": (int, 64, "number of base draws"),
     "pool_members": (int, 128, "pool size"),
     "pool_start": (int, 1000, "first pool member index"),
-    "jobs": (int, 1, "ensemble-level worker threads"),
     "bins": (int, 24, "histogram bins over [0,1]"),
-    "identity_draw": (bool, False, "test mode: replacement equals own spectrum"),
-    "no_replace": (bool, False, "draw pool levels without replacement"),
     "betas": (str, "0,1,2,3", "comma list of inverse temperatures"),
     "t_max": (float, 10.0, "time window in units of 1/J"),
     "t_points": (int, 512, "time grid points"),
@@ -478,19 +478,18 @@ COMMANDS = {
     ),
     "poissonize": Command(
         cmd_poissonize, "pool draw comparison: gap-ratio histograms and statistics",
-        ("n", "j_scale", "seed", "samples", "pool_members", "pool_start", "bins",
-         "identity_draw", "no_replace", "out", "jobs"),
+        ("n", "j_scale", "seed", "samples", "pool_members", "pool_start", "bins", "out"),
         large_defaults={"n": 22, "samples": 16, "pool_members": 256},
     ),
     "correlators": Command(
         cmd_correlators, "two-point and OTOC series, original vs modified",
         ("n", "j_scale", "seed", "member", "betas", "t_max", "t_points", "otoc_pair", "two_point",
-         "coefficients", "draw_stream", "pool_members", "pool_start", "out", "jobs"),
+         "coefficients", "draw_stream", "pool_members", "pool_start", "out"),
     ),
     "decompose": Command(
         cmd_decompose, "fermion size spectrum and nonlocal fraction",
         ("n", "j_scale", "seed", "member", "draw_stream", "pool_members", "pool_start",
-         "trend_n", "trend_samples", "size_cut", "out", "jobs"),
+         "trend_n", "trend_samples", "size_cut", "out"),
     ),
     "metropolis": Command(
         cmd_metropolis, "anneal the spectrum away from level repulsion",
@@ -501,7 +500,7 @@ COMMANDS = {
     "gram": Command(
         cmd_gram, "thermofield-double Gram matrix, rank and cyclic moments",
         ("n", "j_scale", "seed", "member", "beta", "t1", "omega", "threshold", "draw_stream",
-         "pool_members", "pool_start", "moment_draws", "out", "jobs"),
+         "pool_members", "pool_start", "moment_draws", "out"),
         defaults={"n": 10},
     ),
 }

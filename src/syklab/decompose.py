@@ -228,26 +228,10 @@ def nonlocal_fraction(a: DenseOperator, n: int, k: int = 4) -> float:
     return _tail_fraction(_size_weights(np.abs(_tensor_decompose(a)) ** 2, n), k)
 
 
-def truncate_local(
-    expansion: FermionExpansion, k: int = 4, original: DenseOperator | None = None
-):
-    """Split an expansion into dense operators of size <= k and > k.
-
-    When the original dense operator is supplied the nonlocal part is
-    formed as the exact remainder original - local, which saves one
-    reconstruction and equals the reconstructed tail up to roundoff.
-
-    Returns
-    -------
-    (local, nonlocal) : pair of ndarray
-    """
+def truncate_local(expansion: FermionExpansion, k: int = 4) -> DenseOperator:
+    """Dense operator of the expansion's monomials of size <= k."""
     if k < 0:
         raise ValueError(f"size cut must be nonnegative, got {k}")
     n, c = expansion.n, expansion.coefficients
     _, sizes, _, _ = subset_data(n // 2)
-    local = reconstruct(FermionExpansion(n, np.where(sizes <= k, c, 0.0)))
-    if original is None:
-        return local, reconstruct(FermionExpansion(n, np.where(sizes > k, c, 0.0)))
-    if original.shape != local.shape:
-        raise ValueError(f"original has shape {original.shape}, expected {local.shape}")
-    return local, original - local
+    return reconstruct(FermionExpansion(n, np.where(sizes <= k, c, 0.0)))

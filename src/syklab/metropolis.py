@@ -34,16 +34,17 @@ from .spectral import diagonalize
 # penalty instead of an infinity
 LOG_CLAMP_FACTOR = 1e-13
 
+# step-size adaptation: at each window's end sigma grows by SIGMA_FACTOR after
+# more than RAISE_ACCEPTS acceptances and shrinks by it after fewer than LOWER_ACCEPTS
+RAISE_ACCEPTS, LOWER_ACCEPTS, SIGMA_FACTOR = 50, 5, 1.1
+
 
 @dataclass(frozen=True)
 class Schedule:
-    """Annealing stages plus the step-size adaptation rule."""
+    """Annealing stages and the steps per step-size adaptation window."""
 
     stages: tuple = ((0.5, 20000), (1.0, 20000), (1.5, 20000), (2.0, 20000))
     window: int = 100
-    raise_threshold: int = 50
-    lower_threshold: int = 5
-    factor: float = 1.1
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,10 @@ def adapt_sigma(state: ChainState, schedule: Schedule = Schedule()) -> ChainStat
     if state.step_count == 0 or state.step_count % schedule.window != 0:
         raise ValueError(f"adapt_sigma needs a full window, got {state.step_count} steps")
     sigma = state.sigma
-    if state.accept_count > schedule.raise_threshold:
-        sigma *= schedule.factor
-    elif state.accept_count < schedule.lower_threshold:
-        sigma /= schedule.factor
+    if state.accept_count > RAISE_ACCEPTS:
+        sigma *= SIGMA_FACTOR
+    elif state.accept_count < LOWER_ACCEPTS:
+        sigma /= SIGMA_FACTOR
     return replace(state, sigma=sigma, accept_count=0, step_count=0)
 
 
@@ -228,54 +229,46 @@ def run_schedule(
         version, n, seed, j_scale, member, stage list, window or
         per_sector; the message names the field.
     """
-    if resume is not None:
-
-        def field(key):
-            if key not in resume:
-                raise ValueError(f"checkpoint has no {key!r} field")
-            return resume[key]
-
-        for key, want in _run_fields(params, schedule, member, per_sector).items():
-            if field(key) != want:
-                raise ValueError(f"checkpoint {key} is {resume[key]!r}, but this run has {want!r}")
-        target = float(field("target_trace"))
-        rng.bit_generator.state = field("rng_state")
-        state = ChainState(
-            couplings=CouplingTensor(params.n, np.asarray(field("couplings"))),
-            objective=float(field("objective")),
-            sigma=float(field("sigma")),
-            accept_count=int(field("accept_count")),
-            step_count=int(field("window_step")),
-            stage=0.0,
-            rng=rng,
-        )
-        global_step = int(field("global_step"))
-        start_stage = int(field("stage_index"))
-        start_stage_step = int(field("stage_step"))
-    else:
+    fresh = resume is None
+    if fresh:
+        # a fresh chain is a resume from its step-0 checkpoint
         couplings = sample_couplings(params, member)
-        target = trace_h_squared(couplings)
-        state = ChainState(
-            couplings=couplings,
-            objective=0.0,
-            sigma=sigma0,
-            accept_count=0,
-            step_count=0,
-            stage=0.0,
-            rng=rng,
+        start = ChainState(couplings=couplings, objective=0.0, sigma=sigma0, accept_count=0,
+                           step_count=0, stage=0.0, rng=rng)
+        resume = checkpoint_payload(
+            params, schedule, start, member, per_sector, trace_h_squared(couplings), 0, 0, 0
         )
-        global_step = 0
-        start_stage = 0
-        start_stage_step = 0
+
+    def field(key):
+        if key not in resume:
+            raise ValueError(f"checkpoint has no {key!r} field")
+        return resume[key]
+
+    for key, want in _run_fields(params, schedule, member, per_sector).items():
+        if field(key) != want:
+            raise ValueError(f"checkpoint {key} is {resume[key]!r}, but this run has {want!r}")
+    target = float(field("target_trace"))
+    rng.bit_generator.state = field("rng_state")
+    state = ChainState(
+        couplings=CouplingTensor(params.n, np.asarray(field("couplings"))),
+        objective=float(field("objective")),
+        sigma=float(field("sigma")),
+        accept_count=int(field("accept_count")),
+        step_count=int(field("window_step")),
+        stage=0.0,
+        rng=rng,
+    )
+    global_step = int(field("global_step"))
+    start_stage = int(field("stage_index"))
+    start_stage_step = int(field("stage_step"))
 
     trajectory = []
-    last_durable = global_step if resume is not None else None
+    last_durable = None if fresh else global_step
     for stage_index in range(start_stage, len(schedule.stages)):
         beta_d, steps = schedule.stages[stage_index]
         state = replace(state, stage=float(beta_d))
         first = start_stage_step if stage_index == start_stage else 0
-        resuming_mid_stage = resume is not None and stage_index == start_stage and first > 0
-        if not resuming_mid_stage:
+        if first == 0:
             # entering a stage re-evaluates f at the new beta_D; a mid-stage
             # resume restores the stored value instead, keeping bit parity
             state = replace(

@@ -10,7 +10,6 @@ norm relative to H', of order 2^{-N/4}.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,7 @@ class EigenvaluePool:
         raise ValueError(f"unknown sector {tag!r}")
 
 
-def build_pool(
-    params: EnsembleParams, members: int, start_member: int = 0, jobs: int = 1
-) -> EigenvaluePool:
+def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> EigenvaluePool:
     """Collect sector spectra of `members` fresh disorder draws.
 
     Member k uses the (start_member + k)-th coupling stream, so pools
@@ -47,20 +44,12 @@ def build_pool(
     """
     if members < 1:
         raise ValueError(f"need at least one member, got {members}")
-
-    def one(k):
-        h = build_hamiltonian(sample_couplings(params, member=start_member + k))
-        even, odd = diagonalize(h, need_vectors=False)
-        return even.eigenvalues, odd.eigenvalues
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(members)))
-    else:
-        results = [one(k) for k in range(members)]
-    even = np.sort(np.concatenate([r[0] for r in results]))
-    odd = np.sort(np.concatenate([r[1] for r in results]))
-    return EigenvaluePool(params.n, even, odd, members)
+    even, odd = [], []
+    for member in range(start_member, start_member + members):
+        e, o = diagonalize(build_hamiltonian(sample_couplings(params, member=member)), need_vectors=False)
+        even.append(e.eigenvalues)
+        odd.append(o.eigenvalues)
+    return EigenvaluePool(params.n, np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)), members)
 
 
 @dataclass(frozen=True)
@@ -83,13 +72,7 @@ class PoissonizedPair:
         return self.poissonized - self.original
 
 
-def poissonize(
-    h: DenseOperator,
-    pool: EigenvaluePool,
-    rng: np.random.Generator,
-    replace: bool = True,
-    identity_draw: bool = False,
-) -> PoissonizedPair:
+def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator) -> PoissonizedPair:
     """Replace the spectrum of h by sorted i.i.d. pool draws per sector.
 
     Parameters
@@ -97,16 +80,9 @@ def poissonize(
     h : ndarray
         Hermitian, parity block diagonal target.
     pool : EigenvaluePool
-        Sector pools to draw from.
+        Sector pools to draw from, with replacement.
     rng : numpy Generator
         Consumed once per sector, even sector first.
-    replace : bool
-        Draw with replacement (the default ensemble definition); the
-        without replacement variant needs a pool at least as large as
-        the sector dimension.
-    identity_draw : bool
-        Test hook: skip drawing and reuse each sector's own spectrum,
-        so H' must reconstruct H.
 
     Returns
     -------
@@ -117,22 +93,10 @@ def poissonize(
     h_prime = np.zeros((dim, dim), dtype=complex)
     replaced = []
     for s in spectra:
-        if identity_draw:
-            d_prime = s.eigenvalues.copy()
-        else:
-            values = pool.sector(s.sector)
-            if values.size == 0:
-                raise ValueError(f"empty pool for sector {s.sector}")
-            want = s.eigenvalues.size
-            if replace:
-                d_prime = values[rng.integers(0, values.size, size=want)]
-            else:
-                if values.size < want:
-                    raise ValueError(
-                        f"pool of {values.size} cannot fill {want} levels without replacement"
-                    )
-                d_prime = rng.choice(values, size=want, replace=False)
-            d_prime = np.sort(d_prime)
+        values = pool.sector(s.sector)
+        if values.size == 0:
+            raise ValueError(f"empty pool for sector {s.sector}")
+        d_prime = np.sort(values[rng.integers(0, values.size, size=s.eigenvalues.size)])
         replaced.append(SectorSpectrum(s.sector, d_prime, s.eigenvectors, s.basis_indices))
         block = (s.eigenvectors * d_prime) @ s.eigenvectors.conj().T
         h_prime[np.ix_(s.basis_indices, s.basis_indices)] = block
@@ -146,19 +110,12 @@ def poissonize(
 
 
 def poissonize_member(
-    params: EnsembleParams,
-    pool: EigenvaluePool,
-    member: int,
-    stream: int,
-    replace: bool = True,
-    identity_draw: bool = False,
+    params: EnsembleParams, pool: EigenvaluePool, member: int, stream: int
 ) -> PoissonizedPair:
     """Build disorder member `member` of `params` and poissonize it against `pool`.
 
     The levels are drawn from stream (params.seed + 1, stream), the one
-    draw-stream convention every pipeline shares; `replace` and
-    `identity_draw` are passed to `poissonize`.
+    draw-stream convention every pipeline shares.
     """
     h = build_hamiltonian(sample_couplings(params, member=member))
-    rng = member_rng(params.seed + 1, stream)
-    return poissonize(h, pool, rng, replace=replace, identity_draw=identity_draw)
+    return poissonize(h, pool, member_rng(params.seed + 1, stream))

@@ -94,7 +94,8 @@ class GapRatioSample:
 
     ratios[i] = g_{i+1} / g_i over the kept gaps; degenerate_count says
     how many gaps fell below the degeneracy threshold and were omitted
-    together with the ratios touching them.
+    together with the ratios touching them (gaps inside collapsed Kramers
+    doublets are not counted).
     """
 
     ratios: np.ndarray
@@ -105,13 +106,17 @@ def gap_ratios(eigenvalues: np.ndarray, threshold: float = DEGENERACY_THRESHOLD)
     """Gap ratios r_i = (e_{i+2}-e_{i+1})/(e_{i+1}-e_i) of one sector.
 
     The input must already be a single sector's spectrum; pass sectors
-    separately and pool the results.
+    separately and pool the results.  A sector whose levels all come in
+    exact pairs (e[2k], e[2k+1]), the Kramers doublets of N = 4 (mod 8),
+    keeps one level of each pair.
     """
     e = np.sort(np.asarray(eigenvalues, dtype=float))
     if e.size < 3:
         return GapRatioSample(np.empty(0), 0)
-    gaps = np.diff(e)
     bandwidth = float(e[-1] - e[0])
+    if e.size % 2 == 0 and np.all(e[1::2] - e[::2] <= threshold * bandwidth):
+        e = e[::2]
+    gaps = np.diff(e)
     bad = gaps <= threshold * bandwidth
     keep = ~(bad[1:] | bad[:-1])
     ratios = gaps[1:][keep] / gaps[:-1][keep]

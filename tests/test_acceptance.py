@@ -132,9 +132,7 @@ def test_criterion_03_gap_ratio_reproduction(pool128_n14):
         pair = poissonize(h, pool, member_rng(43, m))
         orig.append(sector_ratio_pool(pair.spectra))
         poiss.append(sector_ratio_pool(pair.poissonized_spectra))
-        local, _ = truncate_local(
-            majorana_coefficients(pair.poissonized, 14), k=4, original=pair.poissonized
-        )
+        local = truncate_local(majorana_coefficients(pair.poissonized, 14), k=4)
         reloc.append(sector_ratio_pool(diagonalize(local, need_vectors=False)))
     stat_orig = min_ratio_statistic(np.concatenate(orig))
     stat_poiss = min_ratio_statistic(np.concatenate(poiss))

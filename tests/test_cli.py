@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,8 @@ from syklab.exports import (
     read_spectrum,
     read_trajectory,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _snapshot(directory):
@@ -49,13 +54,6 @@ def test_missing_out_is_usage_error():
     assert main(["sample", "--n", "8", "--seed", "1"]) == 2
 
 
-def test_jobs_is_rejected_where_no_pool_is_built(tmp_path):
-    for command in ("sample", "metropolis"):
-        argv = [command, "--n", "8", "--seed", "1", "--jobs", "2", "--out", str(tmp_path / command)]
-        assert main(argv) == 2
-        assert not (tmp_path / command).exists()
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=8\nseed=7\nmember=0\n")
@@ -70,7 +68,8 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 @pytest.mark.parametrize("command, line, key", [
-    ("sample", "jobs=2", "jobs"),
+    ("sample", "jobs=2", "jobs"),  # an option no command takes any more, as older run.cfg files hold
+    ("sample", "pool_members=4", "pool_members"),  # an option of another command
     ("sample", "large=1", "large"),
     ("sample", "n=abc", "n"),
     ("metropolis", "per_sector=maybe", "per_sector"),
@@ -87,8 +86,7 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, command, l
 # one tiny run per subcommand, moving most options off their defaults
 ROUND_TRIP = {
     "sample": ["--j-scale", "0.5", "--seed", "3", "--member", "2"],
-    "poissonize": ["--samples", "2", "--pool-members", "4", "--pool-start", "10", "--bins", "6",
-                   "--no-replace", "--jobs", "2"],
+    "poissonize": ["--samples", "2", "--pool-members", "4", "--pool-start", "10", "--bins", "6"],
     "correlators": ["--member", "1", "--betas", "0,1", "--t-max", "5.5", "--t-points", "16",
                     "--otoc-pair", "0,3", "--two-point", "1", "--draw-stream", "3", "--pool-members", "4",
                     "--pool-start", "7"],
@@ -118,7 +116,7 @@ def test_run_cfg_round_trips_through_config(tmp_path, command):
 
 
 def test_benchmark_command_lines_parse():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -131,16 +129,41 @@ def test_benchmark_command_lines_parse():
         assert args.command == argv[0]
 
 
+def _readme_commands() -> list[list[str]]:
+    """Every `syklab ...` command of README's Command line block, as argv after `syklab`."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if "syklab" in words:
+            commands.append(words[words.index("syklab") + 1:])
+    return commands
+
+
+def test_readme_command_lines_parse_and_the_n12_example_runs(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            assert parser.parse_args(argv).command == argv[0]
+        except SystemExit:
+            pytest.fail(f"README command does not parse: syklab {shlex.join(argv)}")
+    # n = 12 sectors are Kramers-degenerate; the example must still find gap ratios
+    argv = next(a for a in commands if a[:3] == ["poissonize", "--n", "12"])
+    argv[argv.index("--out") + 1] = str(tmp_path / "poiss")
+    assert main(argv) == 0
+
+
 def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     # perfbench/spans.py rebinds syklab functions by name and raises when one is gone
-    root = Path(__file__).resolve().parents[1]
-
     def traced(argv, run_id):
         result = tmp_path / f"{run_id}.json"
         argv = [*argv, "--n", "8", "--pool-members", "4", "--seed", "42", "--out", str(tmp_path / run_id)]
-        spec = {"root": str(root), "argv": argv, "trace": True, "run_id": run_id, "result": str(result)}
+        spec = {"root": str(ROOT), "argv": argv, "trace": True, "run_id": run_id, "result": str(result)}
         proc = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "runner.py"), json.dumps(spec)],
+            [sys.executable, str(ROOT / "perfbench" / "runner.py"), json.dumps(spec)],
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -175,29 +198,19 @@ def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     (["poissonize", "--pool-members", "4", "--bins", "0"], "--bins"),
     (["sample", "--member", "-1"], "--member"),
     (["gram", "--pool-members", "4", "--omega", "-3"], "--omega"),
+    (["poissonize", "--pool-members", "0"], "--pool-members"),
+    (["correlators", "--pool-members", "4", "--t-max", "-5"], "--t-max"),
+    (["gram", "--pool-members", "4", "--t1", "0"], "--t1"),
+    (["metropolis", "--sigma0", "0"], "--sigma0"),
+    (["gram", "--pool-members", "4", "--beta", "-1"], "--beta"),
+    (["gram", "--pool-members", "4", "--threshold", "-1"], "--threshold"),
+    (["gram", "--pool-members", "4", "--threshold", "nan"], "--threshold"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert main([*argv, "--n", "8", "--seed", "1", "--out", str(out)]) == 2
     assert f"usage error: {flag} " in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_poissonize_identity_draw_has_zero_delta(tmp_path):
-    out = tmp_path / "run"
-    assert main([
-        "poissonize", "--n", "8", "--seed", "7", "--samples", "2",
-        "--pool-members", "4", "--identity-draw", "--out", str(out),
-    ]) == 0
-    stats = dict(
-        line.split(",") for line in (out / "stats.csv").read_text().splitlines()[1:]
-    )
-    # identity draw leaves only eigh reconstruction noise
-    assert float(stats["mean_delta_rel_norm"]) < 1e-12
-    assert float(stats["mean_nonlocal_fraction"]) < 1e-12
-    hist = (out / "ratio_hist_original.csv").read_text().splitlines()
-    assert hist[0] == "r,density"
-    assert len(hist) == 25
 
 
 def test_poissonize_row_counts(tmp_path):
@@ -210,6 +223,9 @@ def test_poissonize_row_counts(tmp_path):
     assert "pool.csv" in manifest["files"]
     pool_rows = (out / "pool.csv").read_text().splitlines()
     assert len(pool_rows) == 1 + 5 * 16
+    hist = (out / "ratio_hist_original.csv").read_text().splitlines()
+    assert hist[0] == "r,density"
+    assert len(hist) == 1 + 24
 
 
 def test_correlators_against_own_coefficients_is_flat(tmp_path):
@@ -341,6 +357,49 @@ CHAIN = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
          "--window", "50", "--checkpoint-every", "100"]
 
 
+# a child chain that dies by SIGKILL right after its second checkpoint is durable
+KILL_AFTER_SECOND_CHECKPOINT = """
+import os, signal, sys
+from syklab import cli
+
+real, done = cli.write_checkpoint, []
+
+def write_then_die(path, payload):
+    real(path, payload)
+    done.append(path)
+    if len(done) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+cli.write_checkpoint = write_then_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_chain_killed_after_a_checkpoint_resumes_bit_exactly(tmp_path):
+    argv = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:150,1.0:150",
+            "--window", "30", "--checkpoint-every", "100"]
+    full, killed, resumed = tmp_path / "full", tmp_path / "killed", tmp_path / "resumed"
+    assert main(argv + ["--out", str(full)]) == 0
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_AFTER_SECOND_CHECKPOINT, *argv, "--out", str(killed)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stdout + proc.stderr
+    assert sorted(p.name for p in killed.iterdir()) == ["checkpoint.json"]
+    # step 200 lies inside the second stage and inside a step-size window
+    checkpoint = json.loads((killed / "checkpoint.json").read_text())
+    at = (checkpoint["global_step"], checkpoint["stage_step"], checkpoint["window_step"])
+    assert at == (200, 50, 20)
+    assert main(argv + ["--resume", str(killed / "checkpoint.json"), "--out", str(resumed)]) == 0
+    for name in ("coefficients.csv", "spectrum_final.csv", "stats.csv"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+    whole = (full / "trajectory.csv").read_bytes().splitlines()
+    tail = (resumed / "trajectory.csv").read_bytes().splitlines()
+    assert tail == whole[:1] + whole[-4:]
+
+
 @pytest.mark.parametrize("checkpoint, flags, named", [
     ("{}", [], "'version'"),
     ('{"version": 1, "n": 8, "seed"', [], "checkpoint.json: not a readable checkpoint"),
@@ -427,8 +486,12 @@ def test_io_error_exit_code(tmp_path):
     assert main(["sample", "--n", "8", "--seed", "1", "--out", str(blocker / "sub")]) == 4
 
 
-def test_library_error_exit_code(tmp_path):
+def test_library_error_exit_code(tmp_path, capsys):
+    # one coupling of the C(8, 4) = 70 an n = 8 file must hold
+    malformed = tmp_path / "coefficients.csv"
+    malformed.write_text("i1,i2,i3,i4,value\n0,1,2,7,0.5\n")
     assert main([
-        "poissonize", "--n", "8", "--seed", "7", "--samples", "1",
-        "--pool-members", "0", "--out", str(tmp_path / "run"),
+        "correlators", "--n", "8", "--seed", "7", "--coefficients", str(malformed),
+        "--t-points", "4", "--out", str(tmp_path / "run"),
     ]) == 3
+    assert "want C(8,4)" in capsys.readouterr().err

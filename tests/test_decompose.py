@@ -194,19 +194,16 @@ def test_truncate_local_partition():
     exp = majorana_coefficients(a, n)
     oracle = oracle_majorana_coefficients(a, n)
     for k in (0, 2, 4, 6, 8):
-        local, nonloc = truncate_local(exp, k=k)
+        local = truncate_local(exp, k=k)
         # the local part is the projection onto the monomials of size <= k
         want = sum(c.real * hermitian_monomial(i, n).dense() for i, c in oracle.items() if len(i) <= k)
         assert np.max(np.abs(local - want)) < 1e-9
-        assert np.max(np.abs(local + nonloc - a)) < 1e-9
-        # reconstructed tail agrees with the remainder path
-        local2, nonloc2 = truncate_local(exp, k=k, original=a)
-        assert np.max(np.abs(local - local2)) < 1e-12
-        assert np.max(np.abs(nonloc - nonloc2)) < 1e-9
+        # the remainder carries the weight of the sizes > k (Parseval)
+        rest = np.linalg.norm(a - local) / np.linalg.norm(a)
+        assert rest == pytest.approx(exp.nonlocal_fraction(k), abs=1e-12)
         exp_local = majorana_coefficients(local, n)
         assert all(len(s) <= k for s in all_subsets(n) if exp_local.coefficient(s) != 0.0)
     assert np.max(np.abs(local - a)) < 1e-9
-    assert np.max(np.abs(nonloc)) < 1e-9
     with pytest.raises(ValueError):
         truncate_local(exp, k=-1)
 

@@ -62,6 +62,19 @@ def test_gap_ratios_degenerate_entries_are_omitted_and_counted():
     assert flat.ratios.size == 0
 
 
+@pytest.mark.parametrize("n, doublets", [(12, True), (14, False)])
+def test_gap_ratios_collapse_kramers_doublets(n, doublets):
+    # at n = 4 (mod 8) every level of a parity sector is an exact doublet
+    for sector in diagonalize(syk_hamiltonian(n, 42), need_vectors=False):
+        e = sector.eigenvalues
+        assert doublets == bool(np.all(e[1::2] - e[::2] <= 1e-14 * (e[-1] - e[0])))
+        gaps = np.diff(e[::2] if doublets else e)
+        sample = gap_ratios(e)
+        assert sample.ratios.size == gaps.size - 1
+        assert np.array_equal(sample.ratios, gaps[1:] / gaps[:-1])
+        assert sample.degenerate_count == 0
+
+
 @given(st.floats(0.05, 20.0), st.floats(-5.0, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_gap_ratios_affine_invariance(scale, shift):
