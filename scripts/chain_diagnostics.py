@@ -19,7 +19,7 @@ from syklab.correlators import otoc, two_point
 from syklab.ensemble import EnsembleParams, CouplingTensor, build_hamiltonian, member_rng, sample_couplings
 from syklab.metropolis import Schedule, run_schedule
 from syklab.pauli import majorana_matrix
-from syklab.spectral import diagonalize, gap_ratios, min_ratio_statistic
+from syklab.spectral import diagonalize, min_ratio_statistic, sector_ratios
 
 REFERENCE_MEMBERS = 64
 
@@ -30,11 +30,6 @@ def parse_stages(text):
         beta_d, steps = part.split(":")
         stages.append((float(beta_d), int(steps)))
     return tuple(stages)
-
-
-def statistic(spectra) -> float:
-    pool = np.concatenate([gap_ratios(s.eigenvalues).ratios for s in spectra])
-    return min_ratio_statistic(pool)
 
 
 def rotation(j0: np.ndarray, j: np.ndarray):
@@ -86,7 +81,7 @@ def main():
     base2, base_otoc = np.max(loo, axis=0)
     print(f"SYK members {members[0]}-{members[-1]}, each against the other {len(members) - 1}: "
           f"max worst2pt {base2:.3f} otoc {base_otoc:.3f}")
-    print(f"initial statistic {statistic(s0):.4f}")
+    print(f"initial statistic {min_ratio_statistic(sector_ratios(s0)):.4f}")
     print()
 
     # capture the coupling vector at each stage boundary via the sink
@@ -120,7 +115,7 @@ def main():
             build_hamiltonian(CouplingTensor(n=args.n, values=j)), need_vectors=False
         )
         print(f"{k:>6} {beta_d:>7.2f} {cos:>10.3f} {rel:>9.3f} "
-              f"{sigma:>10.2e} {statistic(sk):>10.4f}")
+              f"{sigma:>10.2e} {min_ratio_statistic(sector_ratios(sk)):>10.4f}")
 
     sf = diagonalize(build_hamiltonian(result.couplings))
     dev2, dev_otoc = worst_deviation(

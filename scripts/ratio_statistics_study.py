@@ -13,16 +13,7 @@ import numpy as np
 from syklab.decompose import majorana_coefficients, truncate_local
 from syklab.ensemble import EnsembleParams
 from syklab.poissonize import build_pool, poissonize_member
-from syklab.spectral import (
-    diagonalize,
-    gap_ratios,
-    min_ratio_statistic,
-    reference_ratio_statistic,
-)
-
-
-def ratio_pool(spectra) -> np.ndarray:
-    return np.concatenate([gap_ratios(sector.eigenvalues).ratios for sector in spectra])
+from syklab.spectral import diagonalize, min_ratio_statistic, reference_ratio_statistic, sector_ratios
 
 
 def statistics_for(n, seed, samples, pool_members, pool_start):
@@ -34,9 +25,9 @@ def statistics_for(n, seed, samples, pool_members, pool_start):
         local = truncate_local(majorana_coefficients(pair.poissonized, n), k=4)
         s_reloc = diagonalize(local, need_vectors=False)
         rows[m] = (
-            min_ratio_statistic(ratio_pool(pair.spectra)),
-            min_ratio_statistic(ratio_pool(pair.poissonized_spectra)),
-            min_ratio_statistic(ratio_pool(s_reloc)),
+            min_ratio_statistic(sector_ratios(pair.spectra)),
+            min_ratio_statistic(sector_ratios(pair.poissonized_spectra)),
+            min_ratio_statistic(sector_ratios(s_reloc)),
         )
     return rows.mean(axis=0), rows.std(axis=0) / np.sqrt(samples)
 

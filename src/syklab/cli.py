@@ -53,13 +53,14 @@ from .poissonize import build_pool, poissonize, poissonize_member
 from .spectral import (
     combined_eigenvalues,
     diagonalize,
-    gap_ratios,
     min_ratio_statistic,
     reference_ratio_statistic,
+    sector_ratios,
 )
 
 
 LARGE_N = 20  # sizes at or above this need --large, the runtime warning gate
+PARSEVAL_TOL = 1e-8  # relative error of sum c^2 against tr(H^2)/2^{n/2}
 
 
 class UsageError(Exception):
@@ -78,12 +79,26 @@ def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsemblePara
     return params
 
 
-# The options below are parsed, and range checked, before the output
-# directory is made: _PARSERS maps a name to parse(value, settings, --large),
-# raising ValueError or UsageError on a bad value, _AT_LEAST holds the least
-# value of each option bounded from below and _ABOVE the bound each positive
-# option must exceed.  Commands read the parsed values; run.cfg keeps the
-# text as given.
+# Each option's check, the fourth field of its OPTIONS entry, runs before
+# the output directory is made: check(value, settings, --large) returns the
+# parsed value or raises ValueError or UsageError.  Commands read the parsed
+# values; run.cfg keeps the text as given.
+
+
+def _at_least(bound):
+    def check(value, s: dict, large: bool):
+        if not value >= bound:
+            raise ValueError(f"must be at least {bound:g}")
+        return value
+    return check
+
+
+def _above(bound):
+    def check(value, s: dict, large: bool):
+        if not value > bound:
+            raise ValueError(f"must be above {bound:g}")
+        return value
+    return check
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -126,31 +141,16 @@ def _trend(text: str, s: dict, large: bool) -> tuple[EnsembleParams, ...]:
     return tuple(_make_params(nn, s["j_scale"], s["seed"], large) for nn in _ints(text))
 
 
-_PARSERS = {
-    "betas": _betas, "otoc_pair": _otoc_pair, "two_point": _fermions,
-    "trend_n": _trend, "stages": _stages,
-}
-_AT_LEAST = {
-    "samples": 1, "bins": 1, "t_points": 1, "trend_samples": 1, "window": 1, "checkpoint_every": 1,
-    "pool_members": 1, "size_cut": 0, "omega": 0, "member": 0, "pool_start": 0, "draw_stream": 0,
-    "chain_stream": 0, "beta": 0.0, "threshold": 0.0,
-}
-_ABOVE = {"t_max": 0.0, "t1": 0.0, "sigma0": 0.0}
-
-
 def _parsed(s: dict, large: bool) -> dict:
-    """The settings with _PARSERS applied and the bounds checked; a bad value is a usage error."""
+    """The settings with each option's check applied; a bad value is a usage error."""
     values = dict(s)
-    for name in s:
+    for name, value in s.items():
+        check = OPTIONS[name][3]
         try:
-            if name in _PARSERS:
-                values[name] = _PARSERS[name](s[name], s, large)
-            if name in _AT_LEAST and not s[name] >= _AT_LEAST[name]:
-                raise ValueError(f"must be at least {_AT_LEAST[name]:g}")
-            if name in _ABOVE and not s[name] > _ABOVE[name]:
-                raise ValueError(f"must be above {_ABOVE[name]:g}")
+            if check is not None:
+                values[name] = check(value, s, large)
         except (ValueError, UsageError) as exc:
-            raise UsageError(f"--{name.replace('_', '-')} {s[name]!r}: {exc}") from None
+            raise UsageError(f"--{name.replace('_', '-')} {value!r}: {exc}") from None
     return values
 
 
@@ -181,17 +181,12 @@ def _finish(out: str, settings: dict, tables: dict) -> int:
     return 0
 
 
-def _sector_ratio_pool(spectra) -> np.ndarray:
-    """Gap ratios taken within each sector, then pooled."""
-    return np.concatenate([gap_ratios(sector.eigenvalues).ratios for sector in spectra])
-
-
 def _pool(params: EnsembleParams, s: dict):
     return build_pool(params, members=s["pool_members"], start_member=s["pool_start"])
 
 
-# Each command below takes its resolved settings `s` (the options of
-# _PARSERS already parsed), the ensemble built from them and the output
+# Each command below takes its resolved settings `s` (every option's check
+# already applied), the ensemble built from them and the output
 # directory, and returns its data files as {file name: table}; main writes
 # them once the command has returned, so a failed run writes none.
 
@@ -212,11 +207,11 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
     delta_rel, nonlocal_fracs = [], []
     for m in range(s["samples"]):
         pair = poissonize_member(params, pool, m, m)
-        orig.append(_sector_ratio_pool(pair.spectra))
-        poiss.append(_sector_ratio_pool(pair.poissonized_spectra))
+        orig.append(sector_ratios(pair.spectra))
+        poiss.append(sector_ratios(pair.poissonized_spectra))
         expansion = majorana_coefficients(pair.poissonized, n)
         local = truncate_local(expansion, k=4)
-        reloc.append(_sector_ratio_pool(diagonalize(local, need_vectors=False)))
+        reloc.append(sector_ratios(diagonalize(local, need_vectors=False)))
         delta = pair.delta()
         h_norm = float(np.linalg.norm(pair.poissonized))
         d_norm = float(np.linalg.norm(delta))
@@ -274,7 +269,7 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
     tables["otoc_original.csv"] = series_table(otoc0)
     tables[f"otoc_{modified_tag}.csv"] = series_table(otoc1)
     for beta, x, y in zip(betas, otoc0, otoc1):
-        deviations.append(("otoc", beta, compare_series(x, y).max_deviation))
+        deviations.append(("otoc", beta, compare_series(x, y)))
     if 0.0 in betas:
         at0 = otoc0[betas.index(0.0)].values[0]
         print(f"otoc(t=0, beta=0) = {at0.real:+.12f}{at0.imag:+.3e}i")
@@ -286,7 +281,7 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
         tables[f"two_point_f{i}_original.csv"] = series_table(g0)
         tables[f"two_point_f{i}_{modified_tag}.csv"] = series_table(g1)
         for beta, x, y in zip(betas, g0, g1):
-            deviations.append((f"two_point_f{i}", beta, compare_series(x, y).max_deviation))
+            deviations.append((f"two_point_f{i}", beta, compare_series(x, y)))
 
     tables["deviation.csv"] = numeric_table("series,beta,max_deviation", deviations)
     worst = max(dev for _, _, dev in deviations)
@@ -302,11 +297,12 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> dict:
     stats = []
     for tag, op in (("original", pair.original), ("poissonized", pair.poissonized)):
         expansion = majorana_coefficients(op, n)
-        parseval = abs(expansion.weight() - float(np.trace(op @ op).real) / op.shape[0])
+        # tr(H^2) = sum |H_ij|^2 for Hermitian H
+        parseval = abs(expansion.weight() - float(np.vdot(op, op).real) / op.shape[0])
         rel = parseval / expansion.weight()
         print(f"parseval[{tag}]: relative error {rel:.3e}")
-        if not rel <= 1e-8:
-            raise FloatingPointError(f"parseval violated for {tag}: {rel:.3e}")
+        if not rel <= PARSEVAL_TOL:
+            raise NumericalError(f"parseval violated for {tag}: {rel:.3e}")
         sizes = size_spectrum(expansion)
         shares = zip(range(n + 1), sizes, sizes / float(np.sum(sizes)))
         tables[f"size_spectrum_{tag}.csv"] = numeric_table("k,weight,share", shares)
@@ -350,8 +346,8 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
     initial = sample_couplings(params, member=s["member"])
     s0 = diagonalize(build_hamiltonian(initial), need_vectors=False)
     s1 = diagonalize(build_hamiltonian(result.couplings), need_vectors=False)
-    stat0 = min_ratio_statistic(_sector_ratio_pool(s0))
-    stat1 = min_ratio_statistic(_sector_ratio_pool(s1))
+    stat0 = min_ratio_statistic(sector_ratios(s0))
+    stat1 = min_ratio_statistic(sector_ratios(s1))
     ks = float(ks_2samp(combined_eigenvalues(s0), combined_eigenvalues(s1)).statistic)
     drift = abs(trace_h_squared(result.couplings) - result.target_trace) / result.target_trace
     rows = [
@@ -413,47 +409,49 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str) -> dict:
         ]
     for name, value in rows:
         print(f"{name} = {value:.6g}")
-    return {"gram.csv": gram_table(gram.matrix), "report.csv": stats_table(rows)}
+    return {"gram.csv": gram_table(gram), "report.csv": stats_table(rows)}
 
 
-# Every option once: name -> (type, default, help).  Its flag is "--" plus
-# the name with "_" -> "-", and a bool option is a flag without a value.
-# `config` and `large` steer the run: every command takes them, and they
-# are neither read from a config file nor written to run.cfg.
+# Every option once: name -> (type, default, help, check), check as above or
+# None.  Its flag is "--" plus the name with "_" -> "-", and a bool option is
+# a flag without a value.  `config` and `large` steer the run: every command
+# takes them, and they are neither read from a config file nor written to
+# run.cfg.
 OPTIONS = {
-    "n": (int, 14, "number of Majorana fermions (even)"),
-    "j_scale": (float, 1.0, "coupling scale"),
-    "seed": (int, 42, "ensemble seed"),
-    "out": (str, None, "output directory"),
-    "config": (str, None, "key=value config file; flags override"),
-    "large": (bool, False, "allow expensive sizes (n >= 20)"),
-    "member": (int, 0, "disorder member index"),
-    "samples": (int, 64, "number of base draws"),
-    "pool_members": (int, 128, "pool size"),
-    "pool_start": (int, 1000, "first pool member index"),
-    "bins": (int, 24, "histogram bins over [0,1]"),
-    "betas": (str, "0,1,2,3", "comma list of inverse temperatures"),
-    "t_max": (float, 10.0, "time window in units of 1/J"),
-    "t_points": (int, 512, "time grid points"),
-    "otoc_pair": (str, "1,2", "two fermion indices, e.g. 1,2"),
-    "two_point": (str, "", "fermion indices for two-point series, or 'all'"),
-    "coefficients": (str, "", "compare against couplings from this file"),
-    "draw_stream": (int, 0, "poissonization draw stream"),
-    "trend_n": (str, "", "comma list of sizes for the fraction trend"),
-    "trend_samples": (int, 16, "draws per size in the trend"),
-    "size_cut": (int, 4, "locality cut k"),
-    "chain_stream": (int, 10 ** 6, "proposal RNG stream"),
-    "sigma0": (float, 0.001, "initial step scale"),
-    "stages": (str, "0.5:20000,1.0:20000,1.5:20000,2.0:20000", "beta_D:steps comma list; empty for no-op"),
-    "window": (int, 100, "steps per adaptation window"),
-    "checkpoint_every": (int, 1000, "steps between checkpoints"),
-    "resume": (str, "", "checkpoint file to resume from"),
-    "per_sector": (bool, False, "objective sums sector spectra separately"),
-    "beta": (float, 1.0, "inverse temperature"),
-    "t1": (float, 50.0, "base time spacing of the state family"),
-    "omega": (int, 0, "number of states (0 means 2^(n/2))"),
-    "threshold": (float, 1e-8, "singular value cutoff for rank"),
-    "moment_draws": (int, 0, "ensemble draws for the moment average"),
+    "n": (int, 14, "number of Majorana fermions (even)", None),
+    "j_scale": (float, 1.0, "coupling scale", None),
+    "seed": (int, 42, "ensemble seed", None),
+    "out": (str, None, "output directory", None),
+    "config": (str, None, "key=value config file; flags override", None),
+    "large": (bool, False, "allow expensive sizes (n >= 20)", None),
+    "member": (int, 0, "disorder member index", _at_least(0)),
+    "samples": (int, 64, "number of base draws", _at_least(1)),
+    "pool_members": (int, 128, "pool size", _at_least(1)),
+    "pool_start": (int, 1000, "first pool member index", _at_least(0)),
+    "bins": (int, 24, "histogram bins over [0,1]", _at_least(1)),
+    "betas": (str, "0,1,2,3", "comma list of inverse temperatures", _betas),
+    "t_max": (float, 10.0, "time window in units of 1/J", _above(0.0)),
+    "t_points": (int, 512, "time grid points", _at_least(1)),
+    "otoc_pair": (str, "1,2", "two fermion indices, e.g. 1,2", _otoc_pair),
+    "two_point": (str, "", "fermion indices for two-point series, or 'all'", _fermions),
+    "coefficients": (str, "", "compare against couplings from this file", None),
+    "draw_stream": (int, 0, "poissonization draw stream", _at_least(0)),
+    "trend_n": (str, "", "comma list of sizes for the fraction trend", _trend),
+    "trend_samples": (int, 16, "draws per size in the trend", _at_least(1)),
+    "size_cut": (int, 4, "locality cut k", _at_least(0)),
+    "chain_stream": (int, 10 ** 6, "proposal RNG stream", _at_least(0)),
+    "sigma0": (float, 0.001, "initial step scale", _above(0.0)),
+    "stages": (str, "0.5:20000,1.0:20000,1.5:20000,2.0:20000", "beta_D:steps comma list; empty for no-op",
+               _stages),
+    "window": (int, 100, "steps per adaptation window", _at_least(1)),
+    "checkpoint_every": (int, 1000, "steps between checkpoints", _at_least(1)),
+    "resume": (str, "", "checkpoint file to resume from", None),
+    "per_sector": (bool, False, "objective sums sector spectra separately", None),
+    "beta": (float, 1.0, "inverse temperature", _at_least(0.0)),
+    "t1": (float, 50.0, "base time spacing of the state family", _above(0.0)),
+    "omega": (int, 0, "number of states (0 means 2^(n/2))", _at_least(0)),
+    "threshold": (float, 1e-8, "singular value cutoff for rank", _at_least(0.0)),
+    "moment_draws": (int, 0, "ensemble draws for the moment average", _at_least(0)),
 }
 _RUN_OPTIONS = ("config", "large")
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -512,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command_name, command in COMMANDS.items():
         sub = subs.add_parser(command_name, help=command.help)
         for name in command.options + _RUN_OPTIONS:
-            kind, _, help_text = OPTIONS[name]
+            kind, _, help_text, _ = OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             if kind is bool:
                 sub.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)

@@ -27,7 +27,6 @@ class CorrelatorSeries:
     beta: float
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -40,29 +39,6 @@ class CorrelatorSeries:
             raise ValueError("series contains non-finite entries")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Pointwise deviation table between two series on one grid."""
-
-    times: np.ndarray
-    deviations: np.ndarray
-    max_deviation: float
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Overlap matrix of a ladder of time-evolved thermal double states.
-
-    Entry (j, k) is Z(beta - i (t_j - t_k)) / Z(beta) with t_j = j * t1,
-    which is automatically Hermitian with unit diagonal and positive
-    semidefinite (it is a Gram matrix of normalized states).
-    """
-
-    matrix: np.ndarray
-    beta: float
-    t1: float
 
 
 def full_energy_basis(spectra):
@@ -106,11 +82,9 @@ def two_point(spectra, o: DenseOperator, beta: float, times) -> CorrelatorSeries
     pair = o_e * o_e.T
     w = _thermal_weights(energies, beta)
     z = w.sum()
-    values = np.empty(times.size, dtype=np.complex128)
-    for i, t in enumerate(times):
-        p = np.exp(1j * energies * t)
-        values[i] = (w * p) @ (pair @ p.conj()) / z
-    return CorrelatorSeries(beta=beta, times=times, values=values, label="two_point")
+    p = np.exp(1j * np.outer(energies, times))
+    values = np.sum((w[:, None] * p) * (pair @ p.conj()), axis=0) / z
+    return CorrelatorSeries(beta=beta, times=times, values=values)
 
 
 def otoc(spectra, a: int, b: int, beta: float, times) -> CorrelatorSeries:
@@ -138,19 +112,22 @@ def otoc(spectra, a: int, b: int, beta: float, times) -> CorrelatorSeries:
         a_t = (p[:, None] * p.conj()[None, :]) * psi_a
         m = a_t @ y_b
         values[i] = np.sum(m * m.T) / z
-    return CorrelatorSeries(beta=beta, times=times, values=values, label=f"otoc({a},{b})")
+    return CorrelatorSeries(beta=beta, times=times, values=values)
 
 
-def compare_series(x: CorrelatorSeries, y: CorrelatorSeries) -> ComparisonReport:
-    """Max absolute deviation between two series plus the per-time table."""
+def compare_series(x: CorrelatorSeries, y: CorrelatorSeries) -> float:
+    """Max absolute deviation between two series on one grid."""
     if x.times.shape != y.times.shape or not np.array_equal(x.times, y.times):
         raise ValueError("series grids differ")
-    dev = np.abs(x.values - y.values)
-    return ComparisonReport(times=x.times, deviations=dev, max_deviation=float(dev.max()))
+    return float(np.max(np.abs(x.values - y.values)))
 
 
-def tfd_gram(spectra, beta: float, t1: float, omega: int) -> GramMatrix:
-    """Gram matrix G_jk = Z(beta - i(t_j - t_k))/Z(beta), t_j = j * t1."""
+def tfd_gram(spectra, beta: float, t1: float, omega: int) -> np.ndarray:
+    """Gram matrix G_jk = Z(beta - i(t_j - t_k))/Z(beta), t_j = j * t1.
+
+    The overlaps of a ladder of time-evolved thermofield-double states: G is
+    Hermitian with unit diagonal and positive semidefinite.
+    """
     if t1 <= 0:
         raise ValueError("base spacing t1 must be positive")
     if omega < 1:
@@ -159,26 +136,24 @@ def tfd_gram(spectra, beta: float, t1: float, omega: int) -> GramMatrix:
     w = _thermal_weights(energies, beta)
     w = w / w.sum()
     phases = np.exp(1j * np.outer(np.arange(omega) * t1, energies))
-    g = (phases * w) @ phases.conj().T
-    return GramMatrix(matrix=g, beta=beta, t1=t1)
+    return (phases * w) @ phases.conj().T
 
 
-def gram_rank(gram: GramMatrix, threshold: float = 1e-8) -> int:
+def gram_rank(g: np.ndarray, threshold: float = 1e-8) -> int:
     """Numerical rank: singular values above threshold * largest."""
-    s = np.linalg.svd(gram.matrix, compute_uv=False)
+    s = np.linalg.svd(g, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > threshold * s[0]))
 
 
-def cyclic_moment(gram: GramMatrix, n: int) -> complex:
+def cyclic_moment(g: np.ndarray, n: int) -> complex:
     """Average of G_{j1 j2} G_{j2 j3} ... G_{jn j1} over distinct index tuples.
 
     Computed by inclusion-exclusion on traces of powers, using that the
     diagonal of G is exactly 1: the sum over all tuples is tr(G^n) and
     coincident-index tuples reduce to lower powers.
     """
-    g = gram.matrix
     omega = g.shape[0]
     if n == 2:
         if omega < 2:

@@ -29,7 +29,8 @@ import numpy as np
 
 from .pauli import DenseOperator
 
-SPARSE_THRESHOLD = 1e-14
+SPARSE_THRESHOLD = 1e-14  # coefficients with |c| <= this are stored as exact zeros
+IMAG_TOL = 1e-10  # largest imaginary coefficient part, relative to max(1, max |c|)
 
 # per spin phase of the ordered Majorana product, as a power of i,
 # indexed by (a, b, trailing parity) where a, b flag psi_{2s}, psi_{2s+1}
@@ -157,9 +158,7 @@ class FermionExpansion:
         return _tail_fraction(size_spectrum(self), k)
 
 
-def majorana_coefficients(
-    a: DenseOperator, n: int, threshold: float = SPARSE_THRESHOLD, imag_tol: float = 1e-10
-) -> FermionExpansion:
+def majorana_coefficients(a: DenseOperator, n: int) -> FermionExpansion:
     """Expand a Hermitian operator over Majorana monomials.
 
     Parameters
@@ -168,17 +167,12 @@ def majorana_coefficients(
         Hermitian matrix on 2^{n/2} dimensions.
     n : int
         Majorana fermion count, even.
-    threshold : float
-        Coefficients with |c| <= threshold are stored as exact zeros.
-    imag_tol : float
-        Largest tolerated imaginary part; a Hermitian input yields real
-        coefficients, anything above this raises.
 
     Raises
     ------
     ValueError
         If the dimension does not match n or the coefficients come out
-        complex (non Hermitian input).
+        complex beyond IMAG_TOL (non Hermitian input).
     """
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"fermion count must be positive even, got {n}")
@@ -188,9 +182,9 @@ def majorana_coefficients(
     _, _, phases, _ = subset_data(n // 2)
     coeffs = _tensor_decompose(a) * np.conj(phases)
     worst = float(np.max(np.abs(coeffs.imag)))
-    if worst > imag_tol * max(1.0, float(np.max(np.abs(coeffs)))):
+    if worst > IMAG_TOL * max(1.0, float(np.max(np.abs(coeffs)))):
         raise ValueError(f"non Hermitian input: imaginary coefficient part {worst:.3e}")
-    return FermionExpansion(n, np.where(np.abs(coeffs) > threshold, coeffs.real, 0.0))
+    return FermionExpansion(n, np.where(np.abs(coeffs) > SPARSE_THRESHOLD, coeffs.real, 0.0))
 
 
 def reconstruct(expansion: FermionExpansion) -> DenseOperator:

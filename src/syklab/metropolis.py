@@ -26,6 +26,7 @@ from .ensemble import (
     sample_couplings,
     trace_h_squared,
 )
+from .errors import NumericalError
 from .pauli import DenseOperator
 from .spectral import diagonalize
 
@@ -37,6 +38,10 @@ LOG_CLAMP_FACTOR = 1e-13
 # step-size adaptation: at each window's end sigma grows by SIGMA_FACTOR after
 # more than RAISE_ACCEPTS acceptances and shrinks by it after fewer than LOWER_ACCEPTS
 RAISE_ACCEPTS, LOWER_ACCEPTS, SIGMA_FACTOR = 50, 5, 1.1
+
+# every proposal is rescaled to the target tr(H^2); the final couplings may
+# differ from it by this much, relative, through roundoff alone
+TRACE_DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,6 @@ class TrajectoryRow:
 class MetropolisResult:
     couplings: CouplingTensor
     trajectory: tuple
-    state: ChainState
     target_trace: float
 
 
@@ -228,6 +232,9 @@ def run_schedule(
         If the resume payload lacks a field, or was recorded with another
         version, n, seed, j_scale, member, stage list, window or
         per_sector; the message names the field.
+    NumericalError
+        If the final tr(H^2) differs from the target by more than
+        TRACE_DRIFT_TOL, relative.
     """
     fresh = resume is None
     if fresh:
@@ -302,9 +309,7 @@ def run_schedule(
                         f"checkpoint write failed at step {global_step}; last durable checkpoint: {at}"
                     ) from exc
                 last_durable = global_step
-    return MetropolisResult(
-        couplings=state.couplings,
-        trajectory=tuple(trajectory),
-        state=state,
-        target_trace=target,
-    )
+    drift = abs(trace_h_squared(state.couplings) - target) / target
+    if not drift <= TRACE_DRIFT_TOL:
+        raise NumericalError(f"final tr(H^2) drifted {drift:.3e} from its target, above {TRACE_DRIFT_TOL:g}")
+    return MetropolisResult(couplings=state.couplings, trajectory=tuple(trajectory), target_trace=target)

@@ -25,6 +25,10 @@ from .errors import StructureError
 # invariants (square, power-of-two dimension, hermiticity on request).
 DenseOperator = np.ndarray
 
+# Frobenius-norm tolerances: the anti-Hermitian part relative to max(||A||, 1),
+# and the off-sector blocks relative to ||A||
+HERMITIAN_TOL = PARITY_LEAK_TOL = 1e-12
+
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -209,15 +213,13 @@ def parity_sector_indices(dim: int):
     return np.nonzero(even)[0], np.nonzero(~even)[0]
 
 
-def sector_split(a: DenseOperator, tol: float = 1e-12):
+def sector_split(a: DenseOperator):
     """Split a parity conserving operator into its even and odd blocks.
 
     Parameters
     ----------
     a : ndarray
         Square operator on a power-of-two dimensional space.
-    tol : float
-        Allowed off-sector leakage, relative to the Frobenius norm.
 
     Returns
     -------
@@ -226,7 +228,8 @@ def sector_split(a: DenseOperator, tol: float = 1e-12):
     Raises
     ------
     StructureError
-        If the off-sector blocks carry more than tol of the norm.
+        If the off-sector blocks carry more than PARITY_LEAK_TOL of the
+        Frobenius norm.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -235,21 +238,21 @@ def sector_split(a: DenseOperator, tol: float = 1e-12):
     off = np.linalg.norm(a[np.ix_(even, odd)]) ** 2 + np.linalg.norm(a[np.ix_(odd, even)]) ** 2
     off = np.sqrt(off)
     total = np.linalg.norm(a)
-    if total > 0.0 and off > tol * total:
+    if total > 0.0 and off > PARITY_LEAK_TOL * total:
         raise StructureError(
             f"operator is not parity block diagonal: off-sector norm {off:.3e} "
-            f"exceeds {tol:g} of total {total:.3e}",
+            f"exceeds {PARITY_LEAK_TOL:g} of total {total:.3e}",
             leaked=float(off),
         )
     return a[np.ix_(even, even)], a[np.ix_(odd, odd)], (even, odd)
 
 
-def require_hermitian(a: DenseOperator, tol: float = 1e-12, what: str = "operator"):
+def require_hermitian(a: DenseOperator):
     a = np.asarray(a)
     dev = np.linalg.norm(a - a.conj().T)
     scale = max(np.linalg.norm(a), 1.0)
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise StructureError(
-            f"{what} is not Hermitian: deviation {dev:.3e} of scale {scale:.3e}",
+            f"operator is not Hermitian: deviation {dev:.3e} of scale {scale:.3e}",
             leaked=float(dev),
         )

@@ -26,7 +26,6 @@ class EigenvaluePool:
     n: int
     even: np.ndarray
     odd: np.ndarray
-    source_members: int
 
     def sector(self, tag: str) -> np.ndarray:
         if tag == "even":
@@ -49,7 +48,7 @@ def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> E
         e, o = diagonalize(build_hamiltonian(sample_couplings(params, member=member)), need_vectors=False)
         even.append(e.eigenvalues)
         odd.append(o.eigenvalues)
-    return EigenvaluePool(params.n, np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)), members)
+    return EigenvaluePool(params.n, np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)))
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class PoissonizedPair:
     its eigenvalues are the sorted replacement levels D'.
     """
 
-    n: int
     original: DenseOperator
     poissonized: DenseOperator
     spectra: tuple[SectorSpectrum, SectorSpectrum]
@@ -101,11 +99,7 @@ def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator)
         block = (s.eigenvectors * d_prime) @ s.eigenvectors.conj().T
         h_prime[np.ix_(s.basis_indices, s.basis_indices)] = block
     return PoissonizedPair(
-        n=int(np.log2(dim)) * 2,
-        original=h,
-        poissonized=h_prime,
-        spectra=spectra,
-        poissonized_spectra=tuple(replaced),
+        original=h, poissonized=h_prime, spectra=spectra, poissonized_spectra=tuple(replaced)
     )
 
 

@@ -19,6 +19,12 @@ from .errors import NumericalError
 from .pauli import DenseOperator, require_hermitian, sector_split
 
 DEGENERACY_THRESHOLD = 1e-14  # relative to spectrum bandwidth
+RESIDUAL_TOL = 1e-10  # eigensolver residual, relative to the sector's Frobenius norm
+NORM_TOL = 1e-8  # a mean density must integrate to one within this
+
+# Monte Carlo reference sizes: one long i.i.d. level sequence, and many
+# small GUE matrices whose full-spectrum ratios are pooled
+POISSON_LEVELS, GUE_SIZE, GUE_SAMPLES = 1_000_000, 64, 400
 
 # mean of min(r, 1/r): exact Poisson value and the random matrix value
 # reproduced by the Monte Carlo oracle below (large GUE matrices)
@@ -41,7 +47,7 @@ class SectorSpectrum:
     basis_indices: np.ndarray
 
 
-def diagonalize(h: DenseOperator, need_vectors: bool = True, residual_tol: float = 1e-10):
+def diagonalize(h: DenseOperator, need_vectors: bool = True):
     """Diagonalize a parity conserving Hermitian operator per sector.
 
     Parameters
@@ -50,8 +56,6 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True, residual_tol: float
         Hermitian, parity block diagonal matrix.
     need_vectors : bool
         Skip eigenvector output (cheaper) when False.
-    residual_tol : float
-        Bound on ||U w U^dag - H_sector||_F relative to ||H_sector||_F.
 
     Returns
     -------
@@ -62,9 +66,9 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True, residual_tol: float
     StructureError
         If h is not Hermitian or not block diagonal.
     NumericalError
-        If the eigensolver residual exceeds residual_tol.
+        If ||U w U^dag - H_sector||_F exceeds RESIDUAL_TOL of ||H_sector||_F.
     """
-    require_hermitian(h, what="hamiltonian")
+    require_hermitian(h)
     ee, oo, (even_idx, odd_idx) = sector_split(h)
     out = []
     for tag, block, idx in (("even", ee, even_idx), ("odd", oo, odd_idx)):
@@ -72,9 +76,9 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True, residual_tol: float
             w, u = np.linalg.eigh(block)
             scale = max(float(np.linalg.norm(block)), 1e-300)
             residual = float(np.linalg.norm((u * w) @ u.conj().T - block))
-            if residual > residual_tol * scale:
+            if residual > RESIDUAL_TOL * scale:
                 raise NumericalError(
-                    f"eigensolver residual {residual:.3e} exceeds {residual_tol:g} "
+                    f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:g} "
                     f"of sector norm {scale:.3e}"
                 )
         else:
@@ -102,25 +106,34 @@ class GapRatioSample:
     degenerate_count: int
 
 
-def gap_ratios(eigenvalues: np.ndarray, threshold: float = DEGENERACY_THRESHOLD) -> GapRatioSample:
+def gap_ratios(eigenvalues: np.ndarray) -> GapRatioSample:
     """Gap ratios r_i = (e_{i+2}-e_{i+1})/(e_{i+1}-e_i) of one sector.
 
     The input must already be a single sector's spectrum; pass sectors
     separately and pool the results.  A sector whose levels all come in
     exact pairs (e[2k], e[2k+1]), the Kramers doublets of N = 4 (mod 8),
-    keeps one level of each pair.
+    keeps one level of each pair.  Gaps at or below DEGENERACY_THRESHOLD
+    of the bandwidth count as degenerate.
     """
     e = np.sort(np.asarray(eigenvalues, dtype=float))
     if e.size < 3:
         return GapRatioSample(np.empty(0), 0)
-    bandwidth = float(e[-1] - e[0])
-    if e.size % 2 == 0 and np.all(e[1::2] - e[::2] <= threshold * bandwidth):
+    floor = DEGENERACY_THRESHOLD * float(e[-1] - e[0])
+    if e.size % 2 == 0 and np.all(e[1::2] - e[::2] <= floor):
         e = e[::2]
     gaps = np.diff(e)
-    bad = gaps <= threshold * bandwidth
+    bad = gaps <= floor
+    if not bad.any():
+        # no masked copies: the Poisson reference takes ratios of 10^6 levels
+        return GapRatioSample(gaps[1:] / gaps[:-1], 0)
     keep = ~(bad[1:] | bad[:-1])
     ratios = gaps[1:][keep] / gaps[:-1][keep]
     return GapRatioSample(ratios, int(np.count_nonzero(bad)))
+
+
+def sector_ratios(spectra) -> np.ndarray:
+    """Gap ratios taken within each sector, then pooled."""
+    return np.concatenate([gap_ratios(sector.eigenvalues).ratios for sector in spectra])
 
 
 def min_ratio_statistic(ratios: np.ndarray) -> float:
@@ -133,19 +146,12 @@ def min_ratio_statistic(ratios: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ReferenceStatistic:
-    kind: str
     mean: float
     stderr: float
     count: int
 
 
-def reference_ratio_statistic(
-    kind: str,
-    rng: np.random.Generator | None = None,
-    poisson_levels: int = 1_000_000,
-    gue_size: int = 64,
-    gue_samples: int = 400,
-) -> ReferenceStatistic:
+def reference_ratio_statistic(kind: str, rng: np.random.Generator | None = None) -> ReferenceStatistic:
     """Monte Carlo reference for the mean min gap ratio.
 
     kind="poisson" draws one long i.i.d. level sequence; kind="gue"
@@ -155,26 +161,17 @@ def reference_ratio_statistic(
     if rng is None:
         rng = np.random.default_rng(0)
     if kind == "poisson":
-        levels = rng.random(poisson_levels)
-        vals = np.minimum(*_ratio_pair(levels))
+        r = gap_ratios(rng.random(POISSON_LEVELS)).ratios
     elif kind == "gue":
         pools = []
-        for _ in range(gue_samples):
-            a = rng.normal(size=(gue_size, gue_size)) + 1j * rng.normal(size=(gue_size, gue_size))
-            w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-            pools.append(np.minimum(*_ratio_pair(w)))
-        vals = np.concatenate(pools)
+        for _ in range(GUE_SAMPLES):
+            a = rng.normal(size=(GUE_SIZE, GUE_SIZE)) + 1j * rng.normal(size=(GUE_SIZE, GUE_SIZE))
+            pools.append(gap_ratios(np.linalg.eigvalsh((a + a.conj().T) / 2.0)).ratios)
+        r = np.concatenate(pools)
     else:
         raise ValueError(f"unknown reference kind {kind!r}")
-    return ReferenceStatistic(
-        kind, float(np.mean(vals)), float(np.std(vals) / np.sqrt(vals.size)), int(vals.size)
-    )
-
-
-def _ratio_pair(levels):
-    g = np.diff(np.sort(levels))
-    r = g[1:] / g[:-1]
-    return r, 1.0 / r
+    vals = np.minimum(r, 1.0 / r)
+    return ReferenceStatistic(float(np.mean(vals)), float(np.std(vals) / np.sqrt(vals.size)), int(vals.size))
 
 
 def sff(eigenvalues: np.ndarray, beta: float, times: np.ndarray) -> np.ndarray:
@@ -243,8 +240,8 @@ class MeanDensity:
     def norm(self) -> float:
         return float(np.sum(self.density * np.diff(self.edges)))
 
-    def require_normalized(self, tol: float = 1e-8):
-        if abs(self.norm - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.norm - 1.0) > NORM_TOL:
             raise ValueError(f"density integrates to {self.norm:.6f}, not 1")
 
     def density_at(self, e) -> np.ndarray:
@@ -278,7 +275,7 @@ def sff_poisson_average(
     Raises
     ------
     ValueError
-        If the density is not normalized (checked to 1e-8).
+        If the density is not normalized (checked to NORM_TOL).
     """
     density.require_normalized()
     t = np.asarray(times, dtype=float)

@@ -209,7 +209,7 @@ def test_criterion_05_otoc_agreement(pool128_n14):
         if beta == 0.0:
             assert abs(a.values[0] - (-1.0)) <= 1e-10
             assert abs(b.values[0] - (-1.0)) <= 1e-10
-        devs.append(compare_series(a, b).max_deviation)
+        devs.append(compare_series(a, b))
     print("otoc deviations per beta:", [f"{d:.3f}" for d in devs])
     assert max(devs) <= 0.1
 

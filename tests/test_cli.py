@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syklab import cli, exports
+from syklab import cli, exports, metropolis
 from syklab.cli import build_parser, main
 from syklab.ensemble import EnsembleParams, sample_couplings
 from syklab.exports import (
@@ -210,6 +210,21 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert main([*argv, "--n", "8", "--seed", "1", "--out", str(out)]) == 2
     assert f"usage error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+NUMERIC_OPTIONS = [
+    (command, name)
+    for command, spec in cli.COMMANDS.items()
+    for name in spec.options
+    if cli.OPTIONS[name][0] in (int, float)
+]
+
+
+@pytest.mark.parametrize("command, name", NUMERIC_OPTIONS, ids=[f"{c}-{n}" for c, n in NUMERIC_OPTIONS])
+def test_every_numeric_option_rejects_minus_one(tmp_path, command, name):
+    out = tmp_path / "out"
+    assert main([command, "--" + name.replace("_", "-"), "-1", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -419,6 +434,15 @@ def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint
     capsys.readouterr()
     assert main(CHAIN + flags + ["--resume", str(path), "--out", str(tmp_path / "resumed")]) == 3
     assert named in capsys.readouterr().err
+
+
+def test_metropolis_trace_drift_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # without the rescale every accepted move changes tr(H^2)
+    monkeypatch.setattr(metropolis, "rescale_to_trace", lambda couplings, target: couplings)
+    out = tmp_path / "run"
+    assert main(CHAIN + ["--out", str(out)]) == 3
+    assert "drifted" in capsys.readouterr().err
+    assert {p.name for p in out.iterdir()} <= {"checkpoint.json"}
 
 
 def test_gram_single_state_has_rank_one(tmp_path):

@@ -100,8 +100,8 @@ def test_gram_round_trip(tmp_path):
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
     gram = tfd_gram(spectra, beta=1.0, t1=7.0, omega=6)
     path = tmp_path / "gram.csv"
-    write_table(path, gram_table(gram.matrix))
-    assert np.array_equal(read_gram(path), gram.matrix)
+    write_table(path, gram_table(gram))
+    assert np.array_equal(read_gram(path), gram)
     path.write_text("j,k,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n")
     with pytest.raises(ValueError):
         read_gram(path)

@@ -21,7 +21,6 @@ def target(n=10, seed=21):
 def test_build_pool_shapes_and_order():
     params = EnsembleParams(n=8, seed=1)
     pool = build_pool(params, members=6)
-    assert pool.source_members == 6
     assert pool.even.size == pool.odd.size == 6 * 8
     assert np.all(np.diff(pool.even) >= 0.0)
     with pytest.raises(ValueError):
@@ -114,7 +113,7 @@ def test_pool_draws_match_pool_density():
 
 def test_tiny_pool_with_replacement_duplicates_levels():
     _, h = target()
-    two = EigenvaluePool(10, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 0)
+    two = EigenvaluePool(10, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
     pair = poissonize(h, two, np.random.default_rng(0))
     assert np.unique(pair.poissonized_spectra[0].eigenvalues).size <= 2
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,15 @@ def test_gue_reference_matches_frozen_value():
     # frozen large matrix value 0.5996; allow Monte Carlo error plus the
     # small finite size bias of 64 dimensional matrices
     assert ref.mean == pytest.approx(GUE_MIN_RATIO, abs=3.0 * ref.stderr + 0.004)
+
+
+def test_reference_matches_the_benchmark_record():
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference_seed42.json") as f:
+        stats = json.load(f)["pool-relocalize-n14"]["call0/stats.csv"]
+    for kind in ("gue", "poisson"):
+        ref = reference_ratio_statistic(kind)
+        assert ref.mean == pytest.approx(stats[f"reference_{kind}"], rel=1e-9)
+        assert ref.stderr == pytest.approx(stats[f"reference_{kind}_stderr"], rel=1e-9)
 
 
 def test_reference_kind_validation():
