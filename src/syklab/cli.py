@@ -21,13 +21,7 @@ from scipy.stats import ks_2samp
 
 from .correlators import compare_series, cyclic_moment, gram_rank, otoc, tfd_gram, two_point
 from .decompose import majorana_coefficients, nonlocal_fraction, size_spectrum, truncate_local
-from .ensemble import (
-    EnsembleParams,
-    build_hamiltonian,
-    member_rng,
-    sample_couplings,
-    trace_h_squared,
-)
+from .ensemble import CouplingTensor, EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from .errors import NumericalError
 from .exports import (
     coefficients_table,
@@ -101,12 +95,18 @@ def _above(bound):
     return check
 
 
+def _distinct(values: tuple) -> tuple:
+    if len(set(values)) != len(values):
+        raise ValueError("lists an entry more than once")
+    return values
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return _distinct(tuple(int(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _betas(text: str, s: dict, large: bool) -> tuple[float, ...]:
-    betas = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    betas = _distinct(tuple(float(tok) for tok in text.split(",") if tok.strip()))
     if not betas or not all(beta >= 0.0 for beta in betas):
         raise ValueError("want one or more nonnegative inverse temperatures")
     return betas
@@ -132,9 +132,25 @@ def _fermions(text: str, s: dict, large: bool) -> tuple[int, ...]:
 
 def _otoc_pair(text: str, s: dict, large: bool) -> tuple[int, ...]:
     pair = _fermions(text, s, large)
-    if len(pair) != 2 or pair[0] == pair[1]:
+    if len(pair) != 2:
         raise ValueError("want two different fermion indices")
     return pair
+
+
+def _coefficients(text: str, s: dict, large: bool) -> CouplingTensor | None:
+    if not text:
+        return None
+    couplings = read_coefficients(text)
+    if couplings.n != s["n"]:
+        raise ValueError(f"holds the couplings of n={couplings.n}")
+    return couplings
+
+
+def _moment_draws(value: int, s: dict, large: bool) -> int:
+    value = _at_least(0)(value, s, large)
+    if value > 0 and s["omega"] == 1:
+        raise ValueError("the 2-moment needs --omega 0 or at least 2 states")
+    return value
 
 
 def _trend(text: str, s: dict, large: bool) -> tuple[EnsembleParams, ...]:
@@ -253,9 +269,9 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
     a, b = s["otoc_pair"]
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
 
-    if s["coefficients"]:
+    if s["coefficients"] is not None:
         s0 = diagonalize(build_hamiltonian(sample_couplings(params, member=s["member"])))
-        s1 = diagonalize(build_hamiltonian(read_coefficients(s["coefficients"])))
+        s1 = diagonalize(build_hamiltonian(s["coefficients"]))
         modified_tag = "modified"
     else:
         pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
@@ -349,12 +365,11 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
     stat0 = min_ratio_statistic(sector_ratios(s0))
     stat1 = min_ratio_statistic(sector_ratios(s1))
     ks = float(ks_2samp(combined_eigenvalues(s0), combined_eigenvalues(s1)).statistic)
-    drift = abs(trace_h_squared(result.couplings) - result.target_trace) / result.target_trace
     rows = [
         ("statistic_initial", stat0),
         ("statistic_final", stat1),
         ("ks_distance", ks),
-        ("trace_drift", drift),
+        ("trace_drift", result.trace_drift),
     ]
     for name, value in rows:
         print(f"{name} = {value:.6g}")
@@ -434,7 +449,7 @@ OPTIONS = {
     "t_points": (int, 512, "time grid points", _at_least(1)),
     "otoc_pair": (str, "1,2", "two fermion indices, e.g. 1,2", _otoc_pair),
     "two_point": (str, "", "fermion indices for two-point series, or 'all'", _fermions),
-    "coefficients": (str, "", "compare against couplings from this file", None),
+    "coefficients": (str, "", "compare against couplings from this file", _coefficients),
     "draw_stream": (int, 0, "poissonization draw stream", _at_least(0)),
     "trend_n": (str, "", "comma list of sizes for the fraction trend", _trend),
     "trend_samples": (int, 16, "draws per size in the trend", _at_least(1)),
@@ -451,7 +466,7 @@ OPTIONS = {
     "t1": (float, 50.0, "base time spacing of the state family", _above(0.0)),
     "omega": (int, 0, "number of states (0 means 2^(n/2))", _at_least(0)),
     "threshold": (float, 1e-8, "singular value cutoff for rank", _at_least(0.0)),
-    "moment_draws": (int, 0, "ensemble draws for the moment average", _at_least(0)),
+    "moment_draws": (int, 0, "ensemble draws for the moment average", _moment_draws),
 }
 _RUN_OPTIONS = ("config", "large")
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),

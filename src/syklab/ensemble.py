@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 from scipy.special import ndtri
 
-from .pauli import DenseOperator, hermitian_monomial
+from .pauli import DenseOperator, jordan_wigner
 
 P_BODY = 4  # interaction order is fixed at four fermions per term
 
@@ -118,9 +118,10 @@ def sample_couplings(params: EnsembleParams, member: int = 0) -> CouplingTensor:
 class HamiltonianBuilder:
     """Reusable couplings-to-dense-matrix map for a fixed fermion count.
 
-    Each four body monomial sends column b to row b ^ x_mask, so the
-    monomials sharing an x_mask fill the same dim entries of H and no two
-    groups write the same entry.  Per group, set up keeps the flat target
+    Each four body monomial sends column b to row b ^ x_mask with value
+    unit * (-1)^{popcount(b & z_mask)}, all three read from jordan_wigner,
+    so the monomials sharing an x_mask fill the same dim entries of H and
+    no two groups write the same entry.  Per group, set up keeps the flat target
     indices and the (terms, dim) column values, zero padded to the largest
     group; a build is one batched matvec into a zeroed matrix, no scatter-add.
     """
@@ -130,19 +131,20 @@ class HamiltonianBuilder:
             raise ValueError(f"fermion count must be even and at least {P_BODY}, got {n}")
         self.n = n
         self.dim = 2 ** (n // 2)
-        strings = [hermitian_monomial(s, n) for s in coupling_subsets(n)]
-        x_masks = np.array([m.x_mask for m in strings])
-        masks = np.unique(x_masks)
-        groups = [np.flatnonzero(x_masks == x) for x in masks]
+        masks = np.array([sum(1 << i for i in s) for s in coupling_subsets(n)])
+        x_masks, z_masks, units = jordan_wigner(masks, n)
+        x_groups = np.unique(x_masks)
+        groups = [np.flatnonzero(x_masks == x) for x in x_groups]
         width = max(len(terms) for terms in groups)
+        cols = np.arange(self.dim)
         # padding slots read term 0 against zero values, so they add exact zeros
         self._terms = np.zeros((len(groups), width), dtype=np.int64)
         self._vals = np.zeros((len(groups), width, self.dim), dtype=complex)
         for g, terms in enumerate(groups):
             self._terms[g, : len(terms)] = terms
-            self._vals[g, : len(terms)] = [strings[k].column_action()[1] for k in terms]
-        cols = np.arange(self.dim)
-        self._flat = ((cols ^ masks[:, None]) * self.dim + cols).ravel()
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z_masks[terms, None]) & 1)
+            self._vals[g, : len(terms)] = units[terms, None] * signs
+        self._flat = ((cols ^ x_groups[:, None]) * self.dim + cols).ravel()
 
     def build(self, couplings: CouplingTensor) -> DenseOperator:
         if couplings.n != self.n:

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .correlators import CorrelatorSeries
-from .decompose import FermionExpansion, flat_index, subset_data
+from .decompose import FermionExpansion, flat_index
 from .ensemble import CouplingTensor, coupling_subsets
 from .metropolis import TrajectoryRow
 from .poissonize import EigenvaluePool
@@ -183,7 +183,7 @@ def _expansion_rows(expansion: FermionExpansion):
     # same-size index tuples sort lexicographically as their bit-reversed masks sort descending
     reversed_masks = sum(((masks >> i) & 1) << (n - 1 - i) for i in range(n))
     order = np.lexsort((-reversed_masks, np.bitwise_count(masks)))
-    values = expansion.coefficients[subset_data(n // 2)[3][order]]
+    values = expansion.coefficients[order]
     start = 0
     for size in range(n + 1):  # one size at a time: floats for all 2^n rows would raise the peak RSS
         block = values[start : start + comb(n, size)].tolist()

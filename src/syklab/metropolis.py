@@ -79,6 +79,7 @@ class MetropolisResult:
     couplings: CouplingTensor
     trajectory: tuple
     target_trace: float
+    trace_drift: float  # |tr(H^2) - target_trace| / target_trace of the final couplings
 
 
 @lru_cache(maxsize=8)  # a chain asks for the same size every step
@@ -312,4 +313,6 @@ def run_schedule(
     drift = abs(trace_h_squared(state.couplings) - target) / target
     if not drift <= TRACE_DRIFT_TOL:
         raise NumericalError(f"final tr(H^2) drifted {drift:.3e} from its target, above {TRACE_DRIFT_TOL:g}")
-    return MetropolisResult(couplings=state.couplings, trajectory=tuple(trajectory), target_trace=target)
+    return MetropolisResult(
+        couplings=state.couplings, trajectory=tuple(trajectory), target_trace=target, trace_drift=drift
+    )

@@ -188,6 +188,35 @@ def hermitian_monomial(indices, n: int) -> PauliString:
     return m
 
 
+_UNITS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k
+
+
+def jordan_wigner(masks, n: int):
+    """Hermitian monomials of Majorana subsets as (x_masks, z_masks, units).
+
+    Bit i of a mask selects psi_i.  hermitian_monomial of that subset
+    sends column b to row b ^ x_mask with value
+    unit * (-1)^{popcount(b & z_mask)}.  At spin s, with a and b flagging
+    psi_{2s} and psi_{2s+1} and t the parity of the mask bits above 2s+1,
+    the ordered product leaves X^a Y^b Z^t, so x = a ^ b and z = b ^ t;
+    the unit is i to the power of the per spin product phases, the
+    Hermitian rephasing and the Y count.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    q = n // 2
+    x, z, power = (np.zeros_like(masks) for _ in range(3))
+    for s in range(q):
+        a, b = (masks >> 2 * s) & 1, (masks >> 2 * s + 1) & 1
+        t = np.bitwise_count(masks >> 2 * s + 2).astype(np.int64) & 1
+        x |= (a ^ b) << (q - 1 - s)
+        z |= (b ^ t) << (q - 1 - s)
+        # X Y = i Z and X Y Z = i; Y Z = i X; X Z = -i Y; then i per Y
+        power += (a & b) + (b & t & ~a) + 3 * (a & t & ~b) + ((a ^ b) & (b ^ t))
+    # reversing p anticommuting factors costs (-1)^{p(p-1)/2}: p = 2, 3 mod 4 get i
+    power += (np.bitwise_count(masks).astype(np.int64) >> 1) & 1
+    return x, z, _UNITS[power & 3]
+
+
 def _check_majorana_args(i: int, n: int):
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"fermion count must be positive even, got {n}")

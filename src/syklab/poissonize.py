@@ -23,7 +23,6 @@ from .spectral import SectorSpectrum, diagonalize
 class EigenvaluePool:
     """Per sector eigenvalue pools, each sorted ascending."""
 
-    n: int
     even: np.ndarray
     odd: np.ndarray
 
@@ -48,7 +47,7 @@ def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> E
         e, o = diagonalize(build_hamiltonian(sample_couplings(params, member=member)), need_vectors=False)
         even.append(e.eigenvalues)
         odd.append(o.eigenvalues)
-    return EigenvaluePool(params.n, np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)))
+    return EigenvaluePool(np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)))
 
 
 @dataclass(frozen=True)

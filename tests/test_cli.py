@@ -205,6 +205,10 @@ def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     (["gram", "--pool-members", "4", "--beta", "-1"], "--beta"),
     (["gram", "--pool-members", "4", "--threshold", "-1"], "--threshold"),
     (["gram", "--pool-members", "4", "--threshold", "nan"], "--threshold"),
+    (["correlators", "--pool-members", "4", "--betas", "1,1"], "--betas"),
+    (["correlators", "--pool-members", "4", "--two-point", "3,3"], "--two-point"),
+    (["decompose", "--pool-members", "4", "--trend-n", "8,8"], "--trend-n"),
+    (["gram", "--pool-members", "4", "--omega", "1", "--moment-draws", "2"], "--moment-draws"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -510,12 +514,26 @@ def test_io_error_exit_code(tmp_path):
     assert main(["sample", "--n", "8", "--seed", "1", "--out", str(blocker / "sub")]) == 4
 
 
-def test_library_error_exit_code(tmp_path, capsys):
+def test_coefficients_file_is_checked_before_the_run(tmp_path, capsys):
+    base = tmp_path / "base"
+    assert main(["sample", "--n", "8", "--seed", "3", "--out", str(base)]) == 0
     # one coupling of the C(8, 4) = 70 an n = 8 file must hold
     malformed = tmp_path / "coefficients.csv"
     malformed.write_text("i1,i2,i3,i4,value\n0,1,2,7,0.5\n")
-    assert main([
-        "correlators", "--n", "8", "--seed", "7", "--coefficients", str(malformed),
-        "--t-points", "4", "--out", str(tmp_path / "run"),
-    ]) == 3
-    assert "want C(8,4)" in capsys.readouterr().err
+    for n, path, reason in (("10", base / "coefficients.csv", "n=8"), ("8", malformed, "want C(8,4)")):
+        capsys.readouterr()
+        out = tmp_path / "run"
+        argv = ["correlators", "--n", n, "--seed", "3", "--coefficients", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --coefficients " in err and reason in err
+        assert not out.exists()
+
+
+def test_library_error_exit_code(tmp_path, capsys):
+    # the chain reads its --resume checkpoint when it starts; one of another seed is a library error
+    assert main(CHAIN + ["--out", str(tmp_path / "first")]) == 0
+    capsys.readouterr()
+    resume = ["--resume", str(tmp_path / "first" / "checkpoint.json")]
+    assert main(CHAIN + ["--seed", "6", *resume, "--out", str(tmp_path / "run")]) == 3
+    assert "checkpoint seed is 5" in capsys.readouterr().err

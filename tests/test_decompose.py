@@ -1,8 +1,9 @@
 """Decomposition tests against the brute force trace inner product oracle.
 
-The Pauli butterfly under majorana_coefficients is checked on its own
-too, through the module's private _tensor_decompose, since it is the one
-place that handles arbitrary (also non-Hermitian) matrices.
+The Walsh-Hadamard expansion under majorana_coefficients is checked on
+its own too, through the module's private _expand, since it and
+reconstruct are the one place that handles arbitrary (also non-Hermitian)
+matrices.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from syklab.decompose import (
     FermionExpansion,
-    _tensor_decompose,
+    _expand,
     majorana_coefficients,
     nonlocal_fraction,
     reconstruct,
@@ -21,32 +22,18 @@ from syklab.decompose import (
     truncate_local,
 )
 from syklab.ensemble import EnsembleParams, build_hamiltonian, coupling_subsets, sample_couplings
-from syklab.pauli import PAULI_MATRICES, hermitian_monomial, majorana_matrix
+from syklab.pauli import hermitian_monomial, majorana_matrix
 
 
-def kron_chain(letters):
-    out = np.array([[1.0 + 0.0j]])
-    for p in letters:
-        out = np.kron(out, PAULI_MATRICES[p])
-    return out
+def monomial_coefficients(a, n):
+    """Nonzero complex coefficients of _expand, keyed by ascending Majorana indices."""
+    flat = _expand(a, n)
+    coefficients = {s: flat[sum(1 << i for i in s)] for s in all_subsets(n)}
+    return {s: c for s, c in coefficients.items() if abs(c) > 1e-14}
 
 
-def oracle_pauli_coefficients(a, q):
-    out = {}
-    for letters in itertools.product("IXYZ", repeat=q):
-        c = np.trace(kron_chain(letters).conj().T @ a) / a.shape[0]
-        if abs(c) > 1e-14:
-            out[letters] = c
-    return out
-
-
-def pauli_coefficients(a):
-    """Nonzero butterfly coefficients of a, keyed by Pauli letters."""
-    flat = _tensor_decompose(a)
-    q = (flat.size.bit_length() - 1) // 2
-    # flat index = base 4 digits, spin 0 most significant: the order of product()
-    letters = itertools.product("IXYZ", repeat=q)
-    return {p: c for p, c in zip(letters, flat) if abs(c) > 1e-14}
+def monomial_sum(coefficients, n):
+    return sum(c * hermitian_monomial(s, n).dense() for s, c in coefficients.items())
 
 
 def oracle_majorana_coefficients(a, n):
@@ -72,31 +59,35 @@ def random_hermitian(dim, seed):
 
 
 def test_single_majorana_decomposes_to_one_x():
-    assert pauli_coefficients(majorana_matrix(0, 2)) == {("X",): 1.0 + 0.0j}
+    assert monomial_coefficients(majorana_matrix(0, 2), 2) == {(0,): 1.0 + 0.0j}
+    for i in range(6):
+        assert monomial_coefficients(majorana_matrix(i, 6), 6) == {(i,): 1.0 + 0.0j}
 
 
 def test_pauli_decompose_matches_trace_oracle():
-    for q, seed in ((2, 0), (3, 1), (4, 2)):
-        a = random_hermitian(2**q, seed)
-        got = pauli_coefficients(a)
-        want = oracle_pauli_coefficients(a, q)
+    for n, seed in ((4, 0), (6, 1), (8, 2)):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** (n // 2)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
+        got = monomial_coefficients(a, n)
+        want = oracle_majorana_coefficients(a, n)
         assert set(got) == set(want)
-        for letters, c in want.items():
-            assert got[letters] == pytest.approx(c, abs=1e-10)
+        for indices, c in want.items():
+            assert got[indices] == pytest.approx(c, abs=1e-10)
 
 
 def test_pauli_decompose_roundtrip_general_matrix():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))  # not Hermitian
-    total = sum(c * kron_chain(letters) for letters, c in pauli_coefficients(a).items())
-    assert np.max(np.abs(total - a)) < 1e-10
+    assert np.max(np.abs(monomial_sum(monomial_coefficients(a, 8), 8) - a)) < 1e-10
+    assert np.max(np.abs(reconstruct(FermionExpansion(8, _expand(a, 8))) - a)) < 1e-12
 
 
 def test_pauli_decompose_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        _tensor_decompose(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        _tensor_decompose(np.zeros((4, 2)))
+    for bad, n in ((np.zeros((3, 3)), 4), (np.zeros((4, 2)), 4), (np.zeros((4, 4)), 6), (np.zeros((4, 4)), 3)):
+        for expand in (_expand, majorana_coefficients, nonlocal_fraction):
+            with pytest.raises(ValueError):
+                expand(bad, n)
 
 
 def test_majorana_coefficients_match_trace_oracle():
@@ -212,8 +203,7 @@ def test_truncate_local_partition():
 @settings(max_examples=20, deadline=None)
 def test_roundtrip_random_small(seed):
     a = random_hermitian(4, seed)
-    total = sum(c * kron_chain(letters) for letters, c in pauli_coefficients(a).items())
-    assert np.max(np.abs(total - a)) < 1e-10
+    assert np.max(np.abs(monomial_sum(monomial_coefficients(a, 4), 4) - a)) < 1e-10
 
 
 def test_expansion_weight_empty():

@@ -16,6 +16,7 @@ from syklab.pauli import (
     PAULI_MATRICES,
     accumulate_string,
     hermitian_monomial,
+    jordan_wigner,
     majorana_matrix,
     majorana_monomial,
     majorana_string,
@@ -171,6 +172,20 @@ def test_accumulate_string_matches_dense():
         accumulate_string(out, ps, c)
         want += c * ps.dense()
     assert np.max(np.abs(out - want)) < TOL
+
+
+def test_jordan_wigner_table_matches_symbolic_monomials():
+    for n in range(2, 11, 2):
+        x, z, units = jordan_wigner(np.arange(2**n), n)
+        cols = np.arange(2 ** (n // 2))
+        for size in range(n + 1):
+            for indices in itertools.combinations(range(n), size):
+                mask = sum(1 << i for i in indices)
+                ps = hermitian_monomial(indices, n)
+                assert (x[mask], z[mask]) == (ps.x_mask, ps.z_mask)
+                _, vals = ps.column_action()
+                signs = 1.0 - 2.0 * (np.bitwise_count(cols & z[mask]) & 1)
+                assert (units[mask] * signs).tobytes() == vals.tobytes()
 
 
 def test_parity_sector_indices():

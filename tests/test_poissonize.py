@@ -113,7 +113,7 @@ def test_pool_draws_match_pool_density():
 
 def test_tiny_pool_with_replacement_duplicates_levels():
     _, h = target()
-    two = EigenvaluePool(10, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+    two = EigenvaluePool(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
     pair = poissonize(h, two, np.random.default_rng(0))
     assert np.unique(pair.poissonized_spectra[0].eigenvalues).size <= 2
 
