@@ -13,7 +13,7 @@ import numpy as np
 from syklab.decompose import majorana_coefficients, truncate_local
 from syklab.ensemble import EnsembleParams
 from syklab.poissonize import build_pool, poissonize_member
-from syklab.spectral import diagonalize, min_ratio_statistic, reference_ratio_statistic, sector_ratios
+from syklab.spectral import REFERENCES, diagonalize, min_ratio_statistic, sector_ratios
 
 
 def statistics_for(n, seed, samples, pool_members, pool_start):
@@ -41,8 +41,7 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    gue = reference_ratio_statistic("gue")
-    poisson = reference_ratio_statistic("poisson")
+    gue, poisson = REFERENCES["gue"], REFERENCES["poisson"]
     print(f"reference gue     {gue.mean:.4f} +- {gue.stderr:.4f}")
     print(f"reference poisson {poisson.mean:.4f} +- {poisson.stderr:.4f}")
     print()

@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .errors import NumericalError, StructureError
 from .metropolis import ChainState, Schedule, objective, run_schedule
-from .pauli import PauliString, hermitian_monomial, jordan_wigner, majorana_matrix, majorana_monomial
+from .pauli import jordan_wigner, majorana_matrix
 from .poissonize import EigenvaluePool, PoissonizedPair, build_pool, poissonize, poissonize_member
 from .spectral import (
     MeanDensity,

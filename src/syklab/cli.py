@@ -41,16 +41,10 @@ from .exports import (
     write_manifest,
     write_table,
 )
-from .metropolis import Schedule, run_schedule
+from .metropolis import Schedule, check_run_fields, run_schedule
 from .pauli import majorana_matrix
 from .poissonize import build_pool, poissonize, poissonize_member
-from .spectral import (
-    combined_eigenvalues,
-    diagonalize,
-    min_ratio_statistic,
-    reference_ratio_statistic,
-    sector_ratios,
-)
+from .spectral import REFERENCES, combined_eigenvalues, diagonalize, min_ratio_statistic, sector_ratios
 
 
 LARGE_N = 20  # sizes at or above this need --large, the runtime warning gate
@@ -146,6 +140,17 @@ def _coefficients(text: str, s: dict, large: bool) -> CouplingTensor | None:
     return couplings
 
 
+def _resume(text: str, s: dict, large: bool) -> dict | None:
+    """The checkpoint payload, once its run fields match this run's."""
+    if not text:
+        return None
+    payload = read_checkpoint(text)
+    schedule = Schedule(stages=_stages(s["stages"], s, large), window=s["window"])
+    params = EnsembleParams(n=s["n"], j_scale=s["j_scale"], seed=s["seed"])
+    check_run_fields(payload, params, schedule, s["member"], s["per_sector"])
+    return payload
+
+
 def _moment_draws(value: int, s: dict, large: bool) -> int:
     value = _at_least(0)(value, s, large)
     if value > 0 and s["omega"] == 1:
@@ -157,6 +162,10 @@ def _trend(text: str, s: dict, large: bool) -> tuple[EnsembleParams, ...]:
     return tuple(_make_params(nn, s["j_scale"], s["seed"], large) for nn in _ints(text))
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _parsed(s: dict, large: bool) -> dict:
     """The settings with each option's check applied; a bad value is a usage error."""
     values = dict(s)
@@ -166,7 +175,7 @@ def _parsed(s: dict, large: bool) -> dict:
             if check is not None:
                 values[name] = check(value, s, large)
         except (ValueError, UsageError) as exc:
-            raise UsageError(f"--{name.replace('_', '-')} {value!r}: {exc}") from None
+            raise UsageError(f"{_flag(name)} {value!r}: {exc}") from None
     return values
 
 
@@ -235,8 +244,7 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
         nonlocal_fracs.append(0.0 if d_norm == 0.0 else expansion.nonlocal_fraction())
     orig, poiss, reloc = map(np.concatenate, (orig, poiss, reloc))
 
-    gue = reference_ratio_statistic("gue")
-    poisson_ref = reference_ratio_statistic("poisson")
+    gue, poisson_ref = REFERENCES["gue"], REFERENCES["poisson"]
     rows = [
         ("statistic_original", min_ratio_statistic(orig)),
         ("statistic_poissonized", min_ratio_statistic(poiss)),
@@ -351,12 +359,11 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
     # the one file written while the command runs: it must outlive a failed chain
     checkpoint_path = os.path.join(out, "checkpoint.json")
 
-    resume_payload = read_checkpoint(s["resume"]) if s["resume"] else None
     result = run_schedule(
         params, schedule, member_rng(s["seed"], s["chain_stream"]),
         checkpoint_sink=lambda payload: write_checkpoint(checkpoint_path, payload),
         member=s["member"], sigma0=s["sigma0"], per_sector=s["per_sector"],
-        checkpoint_every=s["checkpoint_every"], resume=resume_payload,
+        checkpoint_every=s["checkpoint_every"], resume=s["resume"],
     )
 
     initial = sample_couplings(params, member=s["member"])
@@ -460,7 +467,7 @@ OPTIONS = {
                _stages),
     "window": (int, 100, "steps per adaptation window", _at_least(1)),
     "checkpoint_every": (int, 1000, "steps between checkpoints", _at_least(1)),
-    "resume": (str, "", "checkpoint file to resume from", None),
+    "resume": (str, "", "checkpoint file to resume from", _resume),
     "per_sector": (bool, False, "objective sums sector spectra separately", None),
     "beta": (float, 1.0, "inverse temperature", _at_least(0.0)),
     "t1": (float, 50.0, "base time spacing of the state family", _above(0.0)),
@@ -482,6 +489,9 @@ class Command:
     options: tuple[str, ...]
     defaults: dict = field(default_factory=dict)
     large_defaults: dict = field(default_factory=dict)  # in force under --large
+    # option -> the options it leaves unused once set: giving both is a usage
+    # error, and run.cfg leaves the unused ones out
+    replaces: dict = field(default_factory=dict)
 
 
 COMMANDS = {
@@ -498,6 +508,7 @@ COMMANDS = {
         cmd_correlators, "two-point and OTOC series, original vs modified",
         ("n", "j_scale", "seed", "member", "betas", "t_max", "t_points", "otoc_pair", "two_point",
          "coefficients", "draw_stream", "pool_members", "pool_start", "out"),
+        replaces={"coefficients": ("draw_stream", "pool_members", "pool_start")},
     ),
     "decompose": Command(
         cmd_decompose, "fermion size spectrum and nonlocal fraction",
@@ -526,11 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command_name, help=command.help)
         for name in command.options + _RUN_OPTIONS:
             kind, _, help_text, _ = OPTIONS[name]
-            flag = "--" + name.replace("_", "-")
             if kind is bool:
-                sub.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
+                sub.add_argument(_flag(name), dest=name, action="store_const", const=True, help=help_text)
             else:
-                sub.add_argument(flag, dest=name, type=kind, help=help_text)
+                sub.add_argument(_flag(name), dest=name, type=kind, help=help_text)
     return parser
 
 
@@ -557,7 +567,14 @@ def _settings(args, command: Command) -> dict:
     if args.large:
         defaults.update(command.large_defaults)
     flags = {name: getattr(args, name) for name in command.options if getattr(args, name) is not None}
-    return {**defaults, **cfg, **flags}
+    settings = {**defaults, **cfg, **flags}
+    for name, unused in command.replaces.items():
+        if settings[name]:
+            for key in unused:
+                if key in cfg or key in flags:
+                    raise UsageError(f"{_flag(key)} {settings[key]!r}: unused with {_flag(name)}")
+                del settings[key]
+    return settings
 
 
 def main(argv=None) -> int:

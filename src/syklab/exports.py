@@ -1,11 +1,12 @@
-"""Plain-text data exports and their exact-round-trip readers.
+"""Plain-text data exports and the one table reader.
 
-A table is a pair (header, rows): the line naming its columns and lazy
-rows of formatted fields.  `write_table` writes every table file.
-Numbers get 17 significant digits so that reading a file back reproduces
-the in-memory doubles bit for bit.  Every file is written to a temporary
-file, synced and renamed over its path, so a write that dies part-way
-leaves the previous file intact.
+A table is a pair (header, lines): the line naming its columns and the
+lazily formatted lines of its rows.  `numeric_table` formats every table,
+`write_table` writes every table file and `read_table` reads any of them
+back.  Numbers get 17 significant digits, so that float() of a field read
+back reproduces the in-memory double bit for bit.  Every file is written
+to a temporary file, synced and renamed over its path, so a write that
+dies part-way leaves the previous file intact.
 """
 
 import hashlib
@@ -16,15 +17,9 @@ from math import comb
 
 import numpy as np
 
-from .correlators import CorrelatorSeries
-from .decompose import FermionExpansion, flat_index
+from .decompose import FermionExpansion
 from .ensemble import CouplingTensor, coupling_subsets
-from .metropolis import TrajectoryRow
 from .poissonize import EigenvaluePool
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _replace(path, write) -> None:
@@ -43,18 +38,18 @@ def _replace(path, write) -> None:
 
 
 def write_table(path, table) -> None:
-    """Write a (header, rows) table as comma-separated lines."""
-    header, rows = table
+    """Write a (header, lines) table: the header line, then the row lines."""
+    header, lines = table
 
     def write(f):
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        f.writelines(lines)
 
     _replace(path, write)
 
 
-def _read_table(path, header: str) -> list[list[str]]:
+def read_table(path, header: str) -> list[list[str]]:
+    """The text fields of every row of a table file whose first line is header."""
     with open(path) as f:
         first = f.readline().rstrip("\n")
         if first != header:
@@ -62,19 +57,31 @@ def _read_table(path, header: str) -> list[list[str]]:
         return [line.rstrip("\n").split(",") for line in f if line.strip()]
 
 
+def numeric_table(header: str, rows):
+    """The table of row tuples whose fields are text or numbers.
+
+    Each column holds text in every row or numbers in every row; the first
+    row tells which.  Numbers get 17 significant digits.
+    """
+    return header, _lines(iter(rows))
+
+
+def _lines(rows):
+    for first in rows:
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+        yield line % first
+        yield from map(line.__mod__, rows)
+
+
 def coefficients_table(couplings: CouplingTensor):
     """One row per 4-subset in lexicographic order."""
-    subsets = coupling_subsets(couplings.n)
-    rows = (
-        (str(a), str(b), str(c), str(d), _fmt(v))
-        for (a, b, c, d), v in zip(subsets, couplings.values)
-    )
-    return "i1,i2,i3,i4,value", rows
+    rows = zip(coupling_subsets(couplings.n), couplings.values.tolist())
+    return numeric_table("i1,i2,i3,i4,value", ((*subset, v) for subset, v in rows))
 
 
 def read_coefficients(path) -> CouplingTensor:
     """Rows may come in any order; n is inferred from the index range."""
-    rows = _read_table(path, "i1,i2,i3,i4,value")
+    rows = read_table(path, "i1,i2,i3,i4,value")
     if not rows:
         raise ValueError(f"{path}: no coefficient rows")
     entries = {}
@@ -93,79 +100,33 @@ def read_coefficients(path) -> CouplingTensor:
 
 
 def spectrum_table(spectra):
-    rows = (
-        (s.sector, str(i), _fmt(e))
-        for s in spectra
-        for i, e in enumerate(s.eigenvalues)
-    )
-    return "sector,index,eigenvalue", rows
-
-
-def read_spectrum(path) -> dict[str, np.ndarray]:
-    """Sector tag -> eigenvalue array, in file order."""
-    out: dict[str, list[float]] = {}
-    for sector, _, value in _read_table(path, "sector,index,eigenvalue"):
-        out.setdefault(sector, []).append(float(value))
-    return {tag: np.array(vals) for tag, vals in out.items()}
+    rows = ((s.sector, i, e) for s in spectra for i, e in enumerate(s.eigenvalues.tolist()))
+    return numeric_table("sector,index,eigenvalue", rows)
 
 
 def series_table(series):
     """One file holds any number of series; rows group by beta."""
     rows = (
-        (_fmt(s.beta), _fmt(t), _fmt(v.real), _fmt(v.imag))
+        (s.beta, t, v.real, v.imag)
         for s in series
-        for t, v in zip(s.times, s.values)
+        for t, v in zip(s.times.tolist(), s.values.tolist())
     )
-    return "beta,t,re,im", rows
-
-
-def read_series(path) -> tuple[CorrelatorSeries, ...]:
-    groups: dict[float, list[tuple[float, complex]]] = {}
-    for b, t, re, im in _read_table(path, "beta,t,re,im"):
-        groups.setdefault(float(b), []).append((float(t), complex(float(re), float(im))))
-    out = []
-    for beta, pts in groups.items():
-        times = np.array([t for t, _ in pts])
-        values = np.array([v for _, v in pts])
-        out.append(CorrelatorSeries(beta=beta, times=times, values=values))
-    return tuple(out)
+    return numeric_table("beta,t,re,im", rows)
 
 
 def gram_table(matrix):
-    matrix = np.asarray(matrix)
+    # one matrix row at a time: Python numbers for every entry would raise the peak RSS
     rows = (
-        (str(j), str(k), _fmt(matrix[j, k].real), _fmt(matrix[j, k].imag))
-        for j in range(matrix.shape[0])
-        for k in range(matrix.shape[1])
+        (j, k, v.real, v.imag)
+        for j, row in enumerate(np.asarray(matrix))
+        for k, v in enumerate(row.tolist())
     )
-    return "j,k,re,im", rows
-
-
-def read_gram(path) -> np.ndarray:
-    rows = _read_table(path, "j,k,re,im")
-    dim = int(np.sqrt(len(rows)))
-    if dim * dim != len(rows):
-        raise ValueError(f"{path}: {len(rows)} rows is not a square matrix")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for j, k, re, im in rows:
-        out[int(j), int(k)] = complex(float(re), float(im))
-    return out
+    return numeric_table("j,k,re,im", rows)
 
 
 def pool_table(pool: EigenvaluePool):
-    rows = (
-        (tag, _fmt(e))
-        for tag in ("even", "odd")
-        for e in pool.sector(tag)
-    )
-    return "sector,eigenvalue", rows
-
-
-def read_pool(path) -> dict[str, np.ndarray]:
-    out: dict[str, list[float]] = {}
-    for sector, value in _read_table(path, "sector,eigenvalue"):
-        out.setdefault(sector, []).append(float(value))
-    return {tag: np.array(vals) for tag, vals in out.items()}
+    rows = ((tag, e) for tag in ("even", "odd") for e in pool.sector(tag).tolist())
+    return numeric_table("sector,eigenvalue", rows)
 
 
 def expansion_table(expansion: FermionExpansion):
@@ -174,7 +135,7 @@ def expansion_table(expansion: FermionExpansion):
     Indices are dash-separated and ascending; the identity row has empty
     indices.  The row order is worked out only when the rows are read.
     """
-    return "indices,value", _expansion_rows(expansion)
+    return numeric_table("indices,value", _expansion_rows(expansion))
 
 
 def _expansion_rows(expansion: FermionExpansion):
@@ -188,39 +149,13 @@ def _expansion_rows(expansion: FermionExpansion):
     for size in range(n + 1):  # one size at a time: floats for all 2^n rows would raise the peak RSS
         block = values[start : start + comb(n, size)].tolist()
         start += len(block)
-        subsets = combinations(range(n), size)
-        yield from (("-".join(map(str, idx)), _fmt(v)) for idx, v in zip(subsets, block) if v != 0.0)
-
-
-def read_expansion(path, n: int) -> FermionExpansion:
-    coefficients = np.zeros(2**n)
-    for idx, value in _read_table(path, "indices,value"):
-        indices = (int(i) for i in idx.split("-")) if idx else ()
-        coefficients[flat_index(indices, n)] = float(value)
-    return FermionExpansion(n=n, coefficients=coefficients)
+        subsets = combinations([str(i) for i in range(n)], size)
+        yield from (("-".join(idx), v) for idx, v in zip(subsets, block) if v != 0.0)
 
 
 def trajectory_table(rows):
-    out = (
-        (str(r.step), _fmt(r.beta_d), _fmt(r.objective), _fmt(r.sigma), _fmt(r.accept_rate))
-        for r in rows
-    )
-    return "step,beta_D,f,sigma,accept_rate", out
-
-
-def read_trajectory(path) -> tuple[TrajectoryRow, ...]:
-    return tuple(
-        TrajectoryRow(
-            step=int(step), beta_d=float(b), objective=float(f),
-            sigma=float(s), accept_rate=float(a),
-        )
-        for step, b, f, s, a in _read_table(path, "step,beta_D,f,sigma,accept_rate")
-    )
-
-
-def numeric_table(header: str, rows):
-    """A table of text and number fields; numbers get 17 significant digits."""
-    return header, (tuple(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+    out = ((r.step, r.beta_d, r.objective, r.sigma, r.accept_rate) for r in rows)
+    return numeric_table("step,beta_D,f,sigma,accept_rate", out)
 
 
 def stats_table(rows):
@@ -279,11 +214,6 @@ def write_manifest(path, params: dict, file_paths) -> None:
             "bytes": os.path.getsize(p),
         }
     _write_json(path, {"params": params, "files": files}, sort_keys=True)
-
-
-def read_manifest(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
 
 
 def read_config(path) -> dict[str, str]:

@@ -181,6 +181,16 @@ def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sec
     }
 
 
+def check_run_fields(payload: dict, params: EnsembleParams, schedule: Schedule, member: int,
+                     per_sector: bool) -> None:
+    """Raise ValueError, naming the field, unless payload was recorded by this run."""
+    for key, want in _run_fields(params, schedule, member, per_sector).items():
+        if key not in payload:
+            raise ValueError(f"checkpoint has no {key!r} field")
+        if payload[key] != want:
+            raise ValueError(f"checkpoint {key} is {payload[key]!r}, but this run has {want!r}")
+
+
 def checkpoint_payload(
     params: EnsembleParams,
     schedule: Schedule,
@@ -252,9 +262,7 @@ def run_schedule(
             raise ValueError(f"checkpoint has no {key!r} field")
         return resume[key]
 
-    for key, want in _run_fields(params, schedule, member, per_sector).items():
-        if field(key) != want:
-            raise ValueError(f"checkpoint {key} is {resume[key]!r}, but this run has {want!r}")
+    check_run_fields(resume, params, schedule, member, per_sector)
     target = float(field("target_trace"))
     rng.bit_generator.state = field("rng_state")
     state = ChainState(

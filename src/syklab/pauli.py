@@ -46,9 +46,6 @@ for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
     _PRODUCT[(_a, _b)] = (1.0j, _c)
     _PRODUCT[(_b, _a)] = (-1.0j, _c)
 
-_PHASE_TOKENS = {1.0 + 0.0j: "+1", -1.0 + 0.0j: "-1", 1.0j: "+i", -1.0j: "-i"}
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A scalar multiple of a tensor product of single spin Paulis.
@@ -120,17 +117,6 @@ class PauliString:
         out[rows, np.arange(dim)] = vals
         return out
 
-    def __str__(self):
-        token = _PHASE_TOKENS.get(self.phase)
-        if token is None:
-            if self.phase.imag == 0.0:
-                token = f"{self.phase.real:+g}"
-            elif self.phase.real == 0.0:
-                token = f"{self.phase.imag:+g}i"
-            else:
-                token = f"({self.phase:g})"
-        return f"{token} {''.join(self.letters)}"
-
 
 def majorana_string(i: int, n: int) -> PauliString:
     """Symbolic Jordan-Wigner form of the i-th Majorana for N = n fermions."""
@@ -142,8 +128,14 @@ def majorana_string(i: int, n: int) -> PauliString:
 
 
 def majorana_matrix(i: int, n: int) -> DenseOperator:
-    """Dense 2^{n/2} realization of the i-th Majorana operator."""
-    return majorana_string(i, n).dense()
+    """Dense 2^{n/2} realization of the i-th Majorana operator, from its jordan_wigner row."""
+    _check_majorana_args(i, n)
+    (x,), (z,), (unit,) = jordan_wigner([1 << i], n)
+    dim = 2 ** (n // 2)
+    cols = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[cols ^ x, cols] = unit * (1.0 - 2.0 * (np.bitwise_count(cols & z) & 1))
+    return out
 
 
 def majorana_monomial(indices, n: int) -> PauliString:

@@ -13,6 +13,7 @@ reproducible bit for bit.
 """
 
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -33,7 +34,6 @@ from syklab.ensemble import (
     sample_couplings,
     trace_h_squared,
 )
-from syklab.exports import read_manifest
 from syklab.cli import main as cli_main
 from syklab.metropolis import Schedule, run_schedule
 from syklab.pauli import hermitian_monomial, majorana_matrix
@@ -387,5 +387,5 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
             assert cli_main(argv + ["--out", str(out)]) == 0
             runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert runs[0] == runs[1], f"{name} rerun differs"
-        manifest = read_manifest(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"])  # every command manifests its outputs

@@ -13,16 +13,10 @@ import pytest
 from syklab import cli, exports, metropolis
 from syklab.cli import build_parser, main
 from syklab.ensemble import EnsembleParams, sample_couplings
-from syklab.exports import (
-    read_coefficients,
-    read_config,
-    read_manifest,
-    read_series,
-    read_spectrum,
-    read_trajectory,
-)
+from syklab.exports import read_coefficients, read_config, read_table
 
 ROOT = Path(__file__).resolve().parents[1]
+TRAJECTORY = "step,beta_D,f,sigma,accept_rate"
 
 
 def _snapshot(directory):
@@ -36,8 +30,8 @@ def test_sample_rerun_is_byte_identical(tmp_path):
     first = _snapshot(out)
     assert main(argv) == 0
     assert _snapshot(out) == first
-    spectrum = read_spectrum(out / "spectrum.csv")
-    assert sum(v.size for v in spectrum.values()) == 2 ** 4
+    spectrum = read_table(out / "spectrum.csv", "sector,index,eigenvalue")
+    assert len(spectrum) == 2 ** 4
     couplings = read_coefficients(out / "coefficients.csv")
     assert np.array_equal(couplings.values, sample_couplings(EnsembleParams(n=8, seed=1), 0).values)
 
@@ -107,7 +101,7 @@ def test_run_cfg_round_trips_through_config(tmp_path, command):
     a, b = _snapshot(first), _snapshot(second)
     assert a.keys() == b.keys()
     # the manifest lists every file of the run, and nothing else is left behind
-    assert a.keys() == read_manifest(first / "manifest.json")["files"].keys() | {"manifest.json"}
+    assert a.keys() == json.loads(a["manifest.json"])["files"].keys() | {"manifest.json"}
     for name in a.keys() - {"run.cfg", "manifest.json"}:
         assert a[name] == b[name], name
     cfg_a, cfg_b = read_config(first / "run.cfg"), read_config(second / "run.cfg")
@@ -209,6 +203,9 @@ def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     (["correlators", "--pool-members", "4", "--two-point", "3,3"], "--two-point"),
     (["decompose", "--pool-members", "4", "--trend-n", "8,8"], "--trend-n"),
     (["gram", "--pool-members", "4", "--omega", "1", "--moment-draws", "2"], "--moment-draws"),
+    # --coefficients draws no pool: pool options beside it are refused before its file is read
+    (["correlators", "--coefficients", "c.csv", "--pool-members", "999999"], "--pool-members"),
+    (["correlators", "--coefficients", "c.csv", "--draw-stream", "5"], "--draw-stream"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -238,7 +235,7 @@ def test_poissonize_row_counts(tmp_path):
         "poissonize", "--n", "8", "--seed", "7", "--samples", "3",
         "--pool-members", "5", "--out", str(out),
     ]) == 0
-    manifest = read_manifest(out / "manifest.json")
+    manifest = json.loads((out / "manifest.json").read_text())
     assert "pool.csv" in manifest["files"]
     pool_rows = (out / "pool.csv").read_text().splitlines()
     assert len(pool_rows) == 1 + 5 * 16
@@ -260,9 +257,21 @@ def test_correlators_against_own_coefficients_is_flat(tmp_path):
     assert lines[0] == "series,beta,max_deviation"
     for line in lines[1:]:
         assert float(line.split(",")[2]) < 1e-12
-    otoc_series = read_series(out / "otoc_original.csv")
-    beta0 = next(s for s in otoc_series if s.beta == 0.0)
-    assert beta0.values[0] == pytest.approx(-1.0, abs=1e-10)
+    rows = read_table(out / "otoc_original.csv", "beta,t,re,im")
+    _, t, re, im = next(row for row in rows if float(row[0]) == 0.0)
+    assert float(t) == 0.0
+    assert complex(float(re), float(im)) == pytest.approx(-1.0, abs=1e-10)
+    # no pool is drawn, so run.cfg names none, and it repeats the run
+    cfg = read_config(out / "run.cfg")
+    assert not cfg.keys() & {"pool_members", "pool_start", "draw_stream"}
+    again = tmp_path / "again"
+    assert main(["correlators", "--config", str(out / "run.cfg"), "--out", str(again)]) == 0
+    assert (again / "otoc_modified.csv").read_bytes() == (out / "otoc_modified.csv").read_bytes()
+    # a pool option from a config file is refused beside --coefficients, as a flag is
+    (tmp_path / "pool.cfg").write_text(f"{(out / 'run.cfg').read_text()}pool_members=4\n")
+    refused = tmp_path / "refused"
+    assert main(["correlators", "--config", str(tmp_path / "pool.cfg"), "--out", str(refused)]) == 2
+    assert not refused.exists()
 
 
 def test_correlators_poissonized_reports_deviation(tmp_path):
@@ -334,8 +343,8 @@ def test_metropolis_checkpoint_resume_matches_uninterrupted(tmp_path):
     b = read_coefficients(resumed / "coefficients.csv")
     assert np.array_equal(a.values, b.values)
     # rolling checkpoint sits at step 200; the resumed trajectory is the tail
-    tail = read_trajectory(resumed / "trajectory.csv")
-    whole = read_trajectory(full / "trajectory.csv")
+    tail = read_table(resumed / "trajectory.csv", TRAJECTORY)
+    whole = read_table(full / "trajectory.csv", TRAJECTORY)
     assert len(tail) == 1
     assert tail == whole[-1:]
 
@@ -369,7 +378,8 @@ def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     a = read_coefficients(full / "coefficients.csv")
     b = read_coefficients(resumed / "coefficients.csv")
     assert np.array_equal(a.values, b.values)
-    assert read_trajectory(resumed / "trajectory.csv") == read_trajectory(full / "trajectory.csv")[-3:]
+    tail = read_table(resumed / "trajectory.csv", TRAJECTORY)
+    assert tail == read_table(full / "trajectory.csv", TRAJECTORY)[-3:]
 
 
 CHAIN = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
@@ -421,13 +431,14 @@ def test_a_chain_killed_after_a_checkpoint_resumes_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("checkpoint, flags, named", [
     ("{}", [], "'version'"),
+    ('{"version": 1}', [], "checkpoint version is 1"),
     ('{"version": 1, "n": 8, "seed"', [], "checkpoint.json: not a readable checkpoint"),
     ("[8, 42]", [], "checkpoint.json: not a readable checkpoint"),
     (None, ["--member", "5", "--j-scale", "2", "--per-sector", "--stages", "0.5:250,1.0:100"], "j_scale"),
     (None, ["--stages", "0.5:250,1.0:100"], "stages"),
     (None, ["--per-sector"], "per_sector"),
     (None, ["--window", "25"], "window"),
-], ids=["empty", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window"])
+], ids=["empty", "older-version", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window"])
 def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint, flags, named):
     path = tmp_path / "checkpoint.json"
     if checkpoint is None:
@@ -436,8 +447,10 @@ def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint
     else:
         path.write_text(checkpoint)
     capsys.readouterr()
-    assert main(CHAIN + flags + ["--resume", str(path), "--out", str(tmp_path / "resumed")]) == 3
+    out = tmp_path / "resumed"
+    assert main(CHAIN + flags + ["--resume", str(path), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metropolis_trace_drift_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -531,9 +544,19 @@ def test_coefficients_file_is_checked_before_the_run(tmp_path, capsys):
 
 
 def test_library_error_exit_code(tmp_path, capsys):
-    # the chain reads its --resume checkpoint when it starts; one of another seed is a library error
     assert main(CHAIN + ["--out", str(tmp_path / "first")]) == 0
+    checkpoint = tmp_path / "first" / "checkpoint.json"
+    # the --resume check compares the run fields: a checkpoint of another seed is a usage error
     capsys.readouterr()
-    resume = ["--resume", str(tmp_path / "first" / "checkpoint.json")]
-    assert main(CHAIN + ["--seed", "6", *resume, "--out", str(tmp_path / "run")]) == 3
-    assert "checkpoint seed is 5" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(CHAIN + ["--seed", "6", "--resume", str(checkpoint), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: --resume " in err and "checkpoint seed is 5" in err
+    assert not out.exists()
+    # the chain reads the rest when it starts: a checkpoint without couplings is a library error
+    payload = json.loads(checkpoint.read_text())
+    del payload["couplings"]
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(json.dumps(payload))
+    assert main(CHAIN + ["--resume", str(stripped), "--out", str(out)]) == 3
+    assert "checkpoint has no 'couplings' field" in capsys.readouterr().err

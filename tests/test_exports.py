@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,15 +15,10 @@ from syklab.exports import (
     read_checkpoint,
     read_coefficients,
     read_config,
-    read_expansion,
-    read_gram,
-    read_manifest,
-    read_pool,
-    read_series,
-    read_spectrum,
-    read_trajectory,
+    read_table,
     series_table,
     spectrum_table,
+    stats_table,
     trajectory_table,
     write_checkpoint,
     write_config,
@@ -70,93 +66,113 @@ def test_coefficients_reader_rejects_bad_files(tmp_path):
         read_coefficients(path)
 
 
-def test_spectrum_round_trip(tmp_path):
+def _coefficients():
+    couplings = sample_couplings(PARAMS, member=0)
+    rows = [(*subset, v) for subset, v in zip(coupling_subsets(8), couplings.values)]
+    return coefficients_table(couplings), rows
+
+
+def _spectrum():
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
-    path = tmp_path / "spectrum.csv"
-    write_table(path, spectrum_table(spectra))
-    back = read_spectrum(path)
-    assert list(back) == ["even", "odd"]
-    for s in spectra:
-        assert np.array_equal(back[s.sector], s.eigenvalues)
+    rows = [(s.sector, i, e) for s in spectra for i, e in enumerate(s.eigenvalues)]
+    return spectrum_table(spectra), rows
 
 
-def test_series_round_trip_groups_by_beta(tmp_path):
+def _series():
     times = np.linspace(0.0, 5.0, 16)
     rng = np.random.default_rng(5)
-    series = tuple(
+    series = [
         CorrelatorSeries(beta=b, times=times, values=rng.normal(size=16) + 1j * rng.normal(size=16))
         for b in (0.0, 2.0)
-    )
-    path = tmp_path / "series.csv"
-    write_table(path, series_table(series))
-    back = read_series(path)
-    assert [s.beta for s in back] == [0.0, 2.0]
-    for orig, got in zip(series, back):
-        assert np.array_equal(got.times, orig.times)
-        assert np.array_equal(got.values, orig.values)
+    ]
+    rows = [(s.beta, t, v.real, v.imag) for s in series for t, v in zip(s.times, s.values)]
+    return series_table(series), rows
 
 
-def test_gram_round_trip(tmp_path):
+def _gram():
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
     gram = tfd_gram(spectra, beta=1.0, t1=7.0, omega=6)
-    path = tmp_path / "gram.csv"
-    write_table(path, gram_table(gram))
-    assert np.array_equal(read_gram(path), gram)
-    path.write_text("j,k,re,im\n0,0,1,0\n0,1,0,0\n1,0,0,0\n")
-    with pytest.raises(ValueError):
-        read_gram(path)
+    rows = [(j, k, gram[j, k].real, gram[j, k].imag) for j in range(6) for k in range(6)]
+    return gram_table(gram), rows
 
 
-def test_pool_round_trip(tmp_path):
+def _pool():
     pool = build_pool(PARAMS, members=3)
-    path = tmp_path / "pool.csv"
-    write_table(path, pool_table(pool))
-    back = read_pool(path)
-    assert np.array_equal(back["even"], pool.even)
-    assert np.array_equal(back["odd"], pool.odd)
+    rows = [(tag, e) for tag in ("even", "odd") for e in pool.sector(tag)]
+    return pool_table(pool), rows
+
+
+def _expansion():
+    # a random Hermitian operator has a nonzero coefficient at every size
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    expansion = majorana_coefficients(a + a.conj().T, 6)
+    # rows run by monomial size, then lexicographically by indices
+    subsets = [idx for size in range(7) for idx in combinations(range(6), size)]
+    rows = [("-".join(map(str, idx)), expansion.coefficient(idx)) for idx in subsets]
+    return expansion_table(expansion), [row for row in rows if row[1] != 0.0]
+
+
+def _trajectory():
+    rows = [(100, 0.5, 12.5, 0.001, 0.99), (200, 0.5, 13.25, 0.0011, 0.42)]
+    return trajectory_table([TrajectoryRow(*row) for row in rows]), rows
+
+
+def _stats():
+    rows = [("tiny", 1e-300), ("huge", -1e300), ("negative_zero", -0.0), ("third", 1.0 / 3.0), ("count", 7)]
+    return stats_table(rows), rows
+
+
+TABLES = {
+    "coefficients": _coefficients, "spectrum": _spectrum, "series": _series, "gram": _gram,
+    "pool": _pool, "expansion": _expansion, "trajectory": _trajectory, "stats": _stats,
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_every_table_reads_back_bit_exactly(tmp_path, name):
+    table, rows = TABLES[name]()
+    header = table[0]
+    path = tmp_path / f"{name}.csv"
+    write_table(path, table)
+    back = read_table(path, header)
+    assert len(back) == len(rows)
+    for fields, row in zip(back, rows):
+        assert len(fields) == len(row)
+        for text, value in zip(fields, row):
+            if isinstance(value, str):
+                assert text == value
+            else:
+                assert float(text).hex() == float(value).hex()
+    with pytest.raises(ValueError, match="expected header"):
+        read_table(path, header + ",extra")
 
 
 def test_expansion_round_trip_and_quartic_slice(tmp_path):
     couplings = sample_couplings(EnsembleParams(n=6, seed=9), member=0)
-    h = build_hamiltonian(couplings)
-    expansion = majorana_coefficients(h, 6)
+    expansion = majorana_coefficients(build_hamiltonian(couplings), 6)
     path = tmp_path / "expansion.csv"
     write_table(path, expansion_table(expansion))
-    back = read_expansion(path, n=6)
-    assert np.array_equal(back.coefficients, expansion.coefficients)
-    # rows run by monomial size, then lexicographically by indices
-    rows = path.read_text().splitlines()[1:]
-    keys = [tuple(int(i) for i in row.split(",")[0].split("-") if i) for row in rows]
-    assert keys == sorted(keys, key=lambda k: (len(k), k))
+    back = {idx: float(value) for idx, value in read_table(path, "indices,value")}
     # k=4 rows mirror the coefficient file: H carries -J per quartic monomial
     coeff_path = tmp_path / "coefficients.csv"
     write_table(coeff_path, coefficients_table(couplings))
     tensor = read_coefficients(coeff_path)
     for idx, j in zip(coupling_subsets(tensor.n), tensor.values):
-        assert back.coefficient(idx) == pytest.approx(-j, abs=1e-12)
-
-
-def test_trajectory_round_trip(tmp_path):
-    rows = (
-        TrajectoryRow(step=100, beta_d=0.5, objective=12.5, sigma=0.001, accept_rate=0.99),
-        TrajectoryRow(step=200, beta_d=0.5, objective=13.25, sigma=0.0011, accept_rate=0.42),
-    )
-    path = tmp_path / "trajectory.csv"
-    write_table(path, trajectory_table(rows))
-    assert read_trajectory(path) == rows
+        assert back["-".join(map(str, idx))] == pytest.approx(-j, abs=1e-12)
 
 
 def test_a_failed_table_write_keeps_the_previous_file(tmp_path):
     path = tmp_path / "stats.csv"
-    write_table(path, ("quantity,value", [("a", "1")]))
+    write_table(path, stats_table([("a", 1.0)]))
     before = path.read_bytes()
 
     def rows():
-        yield "b", "2"
+        yield "b", 2.0
         raise FloatingPointError("row failed")
 
     with pytest.raises(FloatingPointError):
-        write_table(path, ("quantity,value", rows()))
+        write_table(path, stats_table(rows()))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["stats.csv"]
 
@@ -180,7 +196,7 @@ def test_manifest_checksums_and_stability(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, {"n": 8, "seed": 3}, [b, a])
     first = path.read_bytes()
-    manifest = read_manifest(path)
+    manifest = json.loads(path.read_text())
     assert list(manifest["files"]) == ["a.csv", "b.csv"]
     assert manifest["params"] == {"n": 8, "seed": 3}
     for entry in manifest["files"].values():

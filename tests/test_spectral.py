@@ -10,6 +10,7 @@ from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
 from syklab.spectral import (
     GUE_MIN_RATIO,
     POISSON_MIN_RATIO,
+    REFERENCES,
     MeanDensity,
     combined_eigenvalues,
     diagonalize,
@@ -109,10 +110,12 @@ def test_gue_reference_matches_frozen_value():
 def test_reference_matches_the_benchmark_record():
     with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference_seed42.json") as f:
         stats = json.load(f)["pool-relocalize-n14"]["call0/stats.csv"]
-    for kind in ("gue", "poisson"):
-        ref = reference_ratio_statistic(kind)
-        assert ref.mean == pytest.approx(stats[f"reference_{kind}"], rel=1e-9)
-        assert ref.stderr == pytest.approx(stats[f"reference_{kind}_stderr"], rel=1e-9)
+    assert sorted(REFERENCES) == ["gue", "poisson"]
+    for kind, stored in REFERENCES.items():
+        # the stored constants are the oracle's draw, bit for bit
+        assert reference_ratio_statistic(kind) == stored
+        assert stored.mean == pytest.approx(stats[f"reference_{kind}"], rel=1e-9)
+        assert stored.stderr == pytest.approx(stats[f"reference_{kind}_stderr"], rel=1e-9)
 
 
 def test_reference_kind_validation():
