@@ -1,16 +1,18 @@
-"""Thermal correlators evaluated in the energy eigenbasis.
+"""Thermal correlators evaluated in the energy eigenbasis, one parity block at a time.
 
 All routines take the (even, odd) sector pair produced by
-spectral.diagonalize and assemble the full-space eigenbasis once: fermion
-operators are parity-odd, so their matrix elements connect the sectors and
-the correlator engine cannot work sector by sector.  Operators are rotated
-to the energy basis a single time; time dependence is then pure phases, so
-dense matrix exponentials are never formed outside the small-N test
-oracles.
+spectral.diagonalize.  H conserves fermion parity, so its eigenbasis is the
+pair of sector bases U_e, U_o, and an operator O splits into the four
+sector blocks O[i, j]; in the energy basis each one is U_i^dagger O[i, j] U_j,
+of size (dim/2) x (dim/2).  A Majorana fermion is parity-odd: only its
+even -> odd and odd -> even blocks are nonzero, so the kernels never form a
+full dim x dim eigenbasis.  Each block is rotated once per call; time
+dependence is then pure phases, so dense matrix exponentials are never
+formed outside the small-N test oracles.
 
-Thermal weights are computed with the spectrum shifted by its minimum,
-which keeps e^{-beta E} finite for any beta and makes every correlator
-exactly invariant under a global energy shift.
+Thermal weights are computed with the spectrum shifted by its minimum over
+both sectors, which keeps e^{-beta E} finite for any beta and makes every
+correlator exactly invariant under a global energy shift.
 """
 
 from dataclasses import dataclass
@@ -41,77 +43,82 @@ class CorrelatorSeries:
         object.__setattr__(self, "values", values)
 
 
-def full_energy_basis(spectra):
-    """Assemble full-space energies and eigenvector matrix from sectors.
-
-    Returns (energies, u) with u[:, m] the m-th eigenvector embedded in the
-    full computational basis; energies are sector-concatenated, not sorted.
-    """
-    dim = sum(len(sec.eigenvalues) for sec in spectra)
-    energies = np.concatenate([sec.eigenvalues for sec in spectra])
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    col = 0
-    for sec in spectra:
-        if sec.eigenvectors is None:
-            raise ValueError("correlators need eigenvectors; diagonalize with need_vectors=True")
-        k = len(sec.eigenvalues)
-        u[sec.basis_indices, col:col + k] = sec.eigenvectors
-        col += k
-    return energies, u
+def _thermal_weights(spectra, beta: float) -> list:
+    """e^{-beta (E - E_min)} of each sector, E_min over all sectors, so the largest weight is 1."""
+    floor = min(sec.eigenvalues.min() for sec in spectra)
+    return [np.exp(-beta * (sec.eigenvalues - floor)) for sec in spectra]
 
 
-def _thermal_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    # shifted so the largest weight is 1; normalization divides out below
-    return np.exp(-beta * (energies - energies.min()))
+def _energy_block(o: DenseOperator, row, col) -> np.ndarray:
+    """The (row, col) sector block of O in the energy basis, U_row^dagger O[row, col] U_col."""
+    if row.eigenvectors is None or col.eigenvectors is None:
+        raise ValueError("correlators need eigenvectors; diagonalize with need_vectors=True")
+    return row.eigenvectors.conj().T @ o[np.ix_(row.basis_indices, col.basis_indices)] @ col.eigenvectors
 
 
 def two_point(spectra, o: DenseOperator, beta: float, times) -> CorrelatorSeries:
     """(1/Z) Tr(e^{-beta H} O(t) O(0)) on a time grid.
 
-    Evaluated as sum_{mn} w_m e^{i(E_m - E_n)t} O_mn O_nm / Z after a single
-    rotation of O to the energy basis.
+    With O_ij = U_i^dagger O[i, j] U_j the energy-basis sector blocks, the
+    value is sum_ij sum_{mn} w_im e^{i(E_im - E_jn)t} (O_ij)_mn (O_ji)_nm / Z:
+    per sector pair, (O_ij * O_ji^T) @ conj(p_j) weighted by w_i p_i, with
+    p the phases e^{iEt}.  Only the blocks O does not leave zero are
+    rotated, so a Majorana fermion costs two (dim/2)-sized rotations.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    energies, u = full_energy_basis(spectra)
     o = np.asarray(o)
-    if o.shape != u.shape:
-        raise ValueError(f"operator shape {o.shape} does not match dimension {u.shape[0]}")
+    dim = sum(len(sec.eigenvalues) for sec in spectra)
+    if o.shape != (dim, dim):
+        raise ValueError(f"operator shape {o.shape} does not match dimension {dim}")
     times = np.asarray(times, dtype=np.float64)
-    o_e = u.conj().T @ o @ u
-    pair = o_e * o_e.T
-    w = _thermal_weights(energies, beta)
-    z = w.sum()
-    p = np.exp(1j * np.outer(energies, times))
-    values = np.sum((w[:, None] * p) * (pair @ p.conj()), axis=0) / z
-    return CorrelatorSeries(beta=beta, times=times, values=values)
+    blocks = {
+        (i, j): _energy_block(o, row, col)
+        for i, row in enumerate(spectra)
+        for j, col in enumerate(spectra)
+        if np.any(o[np.ix_(row.basis_indices, col.basis_indices)])
+    }
+    weights = _thermal_weights(spectra, beta)
+    phases = [np.exp(1j * np.outer(sec.eigenvalues, times)) for sec in spectra]
+    values = np.zeros(times.size, dtype=np.complex128)
+    for (i, j), o_ij in blocks.items():
+        if (j, i) in blocks:
+            pair = o_ij * blocks[j, i].T
+            values += np.sum((weights[i][:, None] * phases[i]) * (pair @ phases[j].conj()), axis=0)
+    z = sum(w.sum() for w in weights)
+    return CorrelatorSeries(beta=beta, times=times, values=values / z)
 
 
 def otoc(spectra, a: int, b: int, beta: float, times) -> CorrelatorSeries:
     """Out-of-time-order correlator of two Majorana fermions.
 
     (1/Z) Tr(y psi_a(t) y psi_b y psi_a(t) y psi_b) with y = e^{-beta H/4},
-    the symmetric four-fold splitting of the thermal weight.
+    the symmetric four-fold splitting of the thermal weight.  Both fermions
+    are parity-odd, so with A = U_e^dagger psi_a[e, o] U_o and
+    B = U_o^dagger psi_b[o, e] U_e, the trace splits into an even and an odd
+    block trace: tr(m_ee^2) with m_ee = A(t) r_o B r_e, r = e^{-beta E/4},
+    one (dim/2)^3 product per time.  y and psi are Hermitian, so the odd
+    block trace is the complex conjugate of the even one, and the value is
+    2 Re tr(m_ee^2) / Z, real by construction.
     """
     if a == b:
         raise ValueError("fermion indices must differ")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    energies, u = full_energy_basis(spectra)
-    dim = energies.size
+    even, odd = spectra
+    dim = len(even.eigenvalues) + len(odd.eigenvalues)
     n = 2 * (dim.bit_length() - 1)
-    psi_a = u.conj().T @ majorana_matrix(a, n) @ u
-    psi_b = u.conj().T @ majorana_matrix(b, n) @ u
+    psi_a = _energy_block(majorana_matrix(a, n), even, odd)
+    psi_b = _energy_block(majorana_matrix(b, n), odd, even)
     times = np.asarray(times, dtype=np.float64)
-    r = np.exp(-beta * (energies - energies.min()) / 4.0)
-    z = np.sum(r ** 4)
-    y_b = (r[:, None] * psi_b) * r[None, :]
-    values = np.empty(times.size, dtype=np.complex128)
-    for i, t in enumerate(times):
-        p = np.exp(1j * energies * t)
-        a_t = (p[:, None] * p.conj()[None, :]) * psi_a
-        m = a_t @ y_b
-        values[i] = np.sum(m * m.T) / z
+    r_e, r_o = _thermal_weights(spectra, beta / 4.0)
+    z = np.sum(r_e ** 4) + np.sum(r_o ** 4)
+    y_b = (r_o[:, None] * psi_b) * r_e[None, :]
+    p_e, p_o = (np.exp(1j * np.outer(times, sec.eigenvalues)) for sec in spectra)
+    values = np.empty(times.size)
+    for i in range(times.size):
+        m = ((p_e[i][:, None] * psi_a) * p_o[i].conj()) @ y_b
+        values[i] = 2.0 * np.sum(m * m.T).real / z
     return CorrelatorSeries(beta=beta, times=times, values=values)
 
 
@@ -133,7 +140,7 @@ def tfd_gram(spectra, beta: float, t1: float, omega: int) -> np.ndarray:
     if omega < 1:
         raise ValueError("state count must be at least 1")
     energies = np.concatenate([sec.eigenvalues for sec in spectra])
-    w = _thermal_weights(energies, beta)
+    w = np.concatenate(_thermal_weights(spectra, beta))
     w = w / w.sum()
     phases = np.exp(1j * np.outer(np.arange(omega) * t1, energies))
     return (phases * w) @ phases.conj().T

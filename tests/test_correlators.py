@@ -9,7 +9,6 @@ from syklab.correlators import (
     CorrelatorSeries,
     compare_series,
     cyclic_moment,
-    full_energy_basis,
     gram_rank,
     otoc,
     tfd_gram,
@@ -35,6 +34,28 @@ def spectra(h8):
     return diagonalize(h8)
 
 
+@pytest.fixture(scope="module")
+def systems(h8, spectra):
+    """n -> (H, its sector spectra) at n = 8 and n = 10."""
+    h10 = build_hamiltonian(sample_couplings(EnsembleParams(n=10, seed=7), member=0))
+    return {N: (h8, spectra), 10: (h10, diagonalize(h10))}
+
+
+def probe_operators(n):
+    """Parity-odd psi_2, parity-even i psi_1 psi_4, and a Hermitian O with all four sector blocks nonzero.
+
+    Each has tr(O^2)/dim near 1, so an absolute bound means the same for all three.
+    """
+    dim = 1 << (n // 2)
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return {
+        "odd": majorana_matrix(2, n),
+        "even": 1j * majorana_matrix(1, n) @ majorana_matrix(4, n),
+        "dense": (m + m.conj().T) / (2.0 * np.sqrt(dim)),
+    }
+
+
 def dense_two_point_oracle(h, o, beta, t):
     # direct matrix-function evaluation, no energy basis
     rho = expm(-beta * h)
@@ -54,10 +75,54 @@ def dense_otoc_oracle(h, a, b, beta, t):
     return np.trace(y @ pa @ y @ pb @ y @ pa @ y @ pb) / z
 
 
-def test_full_energy_basis_diagonalizes(h8, spectra):
+def full_energy_basis(spectra):
+    """Full-space energies and eigenvector matrix, sector-concatenated."""
+    dim = sum(len(sec.eigenvalues) for sec in spectra)
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    col = 0
+    for sec in spectra:
+        k = len(sec.eigenvalues)
+        u[sec.basis_indices, col:col + k] = sec.eigenvectors
+        col += k
+    return np.concatenate([sec.eigenvalues for sec in spectra]), u
+
+
+def full_basis_two_point(spectra, o, beta, times):
+    # the dim x dim energy-basis formula the parity-block kernel replaced
     energies, u = full_energy_basis(spectra)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-12
-    assert np.max(np.abs(u.conj().T @ h8 @ u - np.diag(energies))) < 1e-10
+    o_e = u.conj().T @ o @ u
+    pair = o_e * o_e.T
+    w = np.exp(-beta * (energies - energies.min()))
+    p = np.exp(1j * np.outer(energies, times))
+    return np.sum((w[:, None] * p) * (pair @ p.conj()), axis=0) / w.sum()
+
+
+def full_basis_otoc(spectra, a, b, beta, times):
+    # the dim x dim energy-basis formula the parity-block kernel replaced
+    energies, u = full_energy_basis(spectra)
+    n = 2 * (energies.size.bit_length() - 1)
+    psi_a = u.conj().T @ majorana_matrix(a, n) @ u
+    psi_b = u.conj().T @ majorana_matrix(b, n) @ u
+    r = np.exp(-beta * (energies - energies.min()) / 4.0)
+    y_b = (r[:, None] * psi_b) * r[None, :]
+    values = []
+    for t in times:
+        p = np.exp(1j * energies * t)
+        m = ((p[:, None] * p.conj()[None, :]) * psi_a) @ y_b
+        values.append(np.sum(m * m.T) / np.sum(r ** 4))
+    return np.array(values)
+
+
+def test_sector_bases_diagonalize(h8, spectra):
+    # U_i^dagger H[i, j] U_j is diag(E_i) on the diagonal blocks and zero off them
+    assert np.array_equal(np.sort(np.concatenate([s.basis_indices for s in spectra])), np.arange(DIM))
+    for row in spectra:
+        u = row.eigenvectors
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(row.eigenvalues)))) < 1e-12
+        for col in spectra:
+            block = u.conj().T @ h8[np.ix_(row.basis_indices, col.basis_indices)] @ col.eigenvectors
+            want = np.diag(row.eigenvalues) if row is col else 0.0
+            assert np.max(np.abs(block - want)) < 1e-10
 
 
 def partition_function(spectra, z):
@@ -83,13 +148,14 @@ def test_two_point_fermion_at_zero_time(spectra):
         assert series.values[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_two_point_matches_dense_oracle(h8, spectra):
-    o = majorana_matrix(2, N)
-    beta = 1.1
+def test_two_point_matches_dense_oracle(systems):
     times = np.array([0.0, 0.4, 1.7, 3.9, 8.5])
-    series = two_point(spectra, o, beta, times)
-    for t, v in zip(times, series.values):
-        assert abs(v - dense_two_point_oracle(h8, o, beta, t)) < 1e-8
+    for n, (h, spectra) in systems.items():
+        for kind, o in probe_operators(n).items():
+            for beta in (0.0, 1.0, 1.1, 3.0):
+                series = two_point(spectra, o, beta, times)
+                for t, v in zip(times, series.values):
+                    assert abs(v - dense_two_point_oracle(h, o, beta, t)) < 1e-8, (n, kind, beta, t)
 
 
 def test_two_point_zero_time_real_nonnegative(spectra):
@@ -111,12 +177,37 @@ def test_otoc_at_infinite_temperature_zero_time(spectra):
     assert v == pytest.approx(-1.0, abs=1e-10)
 
 
-def test_otoc_matches_dense_oracle(h8, spectra):
-    beta = 2.0
+def test_otoc_matches_dense_oracle(systems):
     times = np.array([0.0, 0.6, 2.2, 5.0, 9.1])
-    series = otoc(spectra, 1, 2, beta, times)
-    for t, v in zip(times, series.values):
-        assert abs(v - dense_otoc_oracle(h8, 1, 2, beta, t)) < 1e-8
+    for n, (h, spectra) in systems.items():
+        for a, b in ((1, 2), (7, 3)):
+            for beta in (0.0, 1.0, 2.0, 3.0):
+                series = otoc(spectra, a, b, beta, times)
+                # 2 Re tr(m_ee^2) / Z: the imaginary part is zero by construction
+                assert np.all(series.values.imag == 0.0)
+                for t, v in zip(times, series.values):
+                    assert abs(v - dense_otoc_oracle(h, a, b, beta, t)) < 1e-8, (n, a, b, beta, t)
+
+
+def test_kernels_match_full_basis_formula_on_kramers_doublets():
+    # at n = 12 every level of a parity sector is doubly degenerate
+    h = build_hamiltonian(sample_couplings(EnsembleParams(n=12, seed=7), member=0))
+    spectra = diagonalize(h)
+    times = np.linspace(0.0, 10.0, 17)
+    for beta in (0.0, 1.0, 3.0):
+        for o in probe_operators(12).values():
+            got = two_point(spectra, o, beta, times).values
+            assert np.max(np.abs(got - full_basis_two_point(spectra, o, beta, times))) < 1e-13
+        got = otoc(spectra, 5, 2, beta, times).values
+        assert np.max(np.abs(got - full_basis_otoc(spectra, 5, 2, beta, times))) < 1e-13
+
+
+def test_correlators_need_eigenvectors(h8):
+    spectra = diagonalize(h8, need_vectors=False)
+    with pytest.raises(ValueError, match="eigenvectors"):
+        two_point(spectra, majorana_matrix(0, N), beta=1.0, times=np.array([0.0]))
+    with pytest.raises(ValueError, match="eigenvectors"):
+        otoc(spectra, 1, 2, beta=1.0, times=np.array([0.0]))
 
 
 def test_otoc_infinite_temperature_is_real(spectra):
