@@ -15,10 +15,9 @@ import argparse
 
 import numpy as np
 
-from syklab.correlators import otoc, two_point
+from syklab.correlators import fermion_block, otoc, two_point
 from syklab.ensemble import EnsembleParams, CouplingTensor, build_hamiltonian, member_rng, sample_couplings
 from syklab.metropolis import Schedule, run_schedule
-from syklab.pauli import majorana_matrix
 from syklab.spectral import diagonalize, min_ratio_statistic, sector_ratios
 
 REFERENCE_MEMBERS = 64
@@ -38,10 +37,11 @@ def rotation(j0: np.ndarray, j: np.ndarray):
     return cos, rel
 
 
-def eigenbasis_series(n, beta, times, spectra, flavors) -> np.ndarray:
+def eigenbasis_series(beta, times, spectra, flavors) -> np.ndarray:
     """Two-point series of each flavour, then the (1, 2) OTOC, one row each."""
-    rows = [two_point(spectra, majorana_matrix(i, n), beta, times).values for i in flavors]
-    rows.append(otoc(spectra, 1, 2, beta, times).values)
+    psi = {i: fermion_block(spectra, i) for i in dict.fromkeys((*flavors, 1, 2))}
+    rows = [two_point(spectra, psi[i], beta, times).values for i in flavors]
+    rows.append(otoc(spectra, psi[1], psi[2], beta, times).values)
     return np.array(rows)
 
 
@@ -72,7 +72,7 @@ def main():
     members = range(args.member + 1, args.member + 1 + REFERENCE_MEMBERS)
     series = np.array([
         eigenbasis_series(
-            args.n, args.beta, times, diagonalize(build_hamiltonian(sample_couplings(params, m))), flavors
+            args.beta, times, diagonalize(build_hamiltonian(sample_couplings(params, m))), flavors
         )
         for m in members
     ])
@@ -119,7 +119,7 @@ def main():
 
     sf = diagonalize(build_hamiltonian(result.couplings))
     dev2, dev_otoc = worst_deviation(
-        np.abs(eigenbasis_series(args.n, args.beta, times, sf, flavors) - total / len(members))
+        np.abs(eigenbasis_series(args.beta, times, sf, flavors) - total / len(members))
     )
     print()
     print(f"annealed vs the {len(members)}-member mean: worst2pt {dev2:.3f} otoc {dev_otoc:.3f} "

@@ -12,6 +12,7 @@ from .correlators import (
     CorrelatorSeries,
     compare_series,
     cyclic_moment,
+    fermion_block,
     gram_rank,
     otoc,
     tfd_gram,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O error.
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .correlators import compare_series, cyclic_moment, gram_rank, otoc, tfd_gram, two_point
+from .correlators import compare_series, cyclic_moment, fermion_block, gram_rank, otoc, tfd_gram, two_point
 from .decompose import majorana_coefficients, nonlocal_fraction, size_spectrum, truncate_local
 from .ensemble import CouplingTensor, EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from .errors import NumericalError
@@ -42,7 +43,6 @@ from .exports import (
     write_table,
 )
 from .metropolis import Schedule, check_run_fields, run_schedule
-from .pauli import majorana_matrix
 from .poissonize import build_pool, poissonize, poissonize_member
 from .spectral import REFERENCES, combined_eigenvalues, diagonalize, min_ratio_statistic, sector_ratios
 
@@ -75,16 +75,16 @@ def _make_params(n: int, j_scale: float, seed: int, large: bool) -> EnsemblePara
 
 def _at_least(bound):
     def check(value, s: dict, large: bool):
-        if not value >= bound:
-            raise ValueError(f"must be at least {bound:g}")
+        if not bound <= value < math.inf:
+            raise ValueError(f"must be finite and at least {bound:g}")
         return value
     return check
 
 
 def _above(bound):
     def check(value, s: dict, large: bool):
-        if not value > bound:
-            raise ValueError(f"must be above {bound:g}")
+        if not bound < value < math.inf:
+            raise ValueError(f"must be finite and above {bound:g}")
         return value
     return check
 
@@ -101,8 +101,8 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _betas(text: str, s: dict, large: bool) -> tuple[float, ...]:
     betas = _distinct(tuple(float(tok) for tok in text.split(",") if tok.strip()))
-    if not betas or not all(beta >= 0.0 for beta in betas):
-        raise ValueError("want one or more nonnegative inverse temperatures")
+    if not betas or not all(0.0 <= beta < math.inf for beta in betas):
+        raise ValueError("want one or more finite nonnegative inverse temperatures")
     return betas
 
 
@@ -110,8 +110,8 @@ def _stages(text: str, s: dict, large: bool) -> tuple[tuple[float, int], ...]:
     stages = []
     for tok in filter(str.strip, text.split(",")):
         beta, colon, steps = tok.partition(":")
-        if not colon or int(steps) < 0:
-            raise ValueError(f"stage {tok.strip()!r} is not beta_D:steps")
+        if not colon or int(steps) < 0 or not math.isfinite(float(beta)):
+            raise ValueError(f"stage {tok.strip()!r} is not beta_D:steps with a finite beta_D")
         stages.append((float(beta), int(steps)))
     return tuple(stages)
 
@@ -273,7 +273,7 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
 
 
 def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
-    n, betas = s["n"], s["betas"]
+    betas = s["betas"]
     a, b = s["otoc_pair"]
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
 
@@ -286,10 +286,15 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
         s0, s1 = pair.spectra, pair.poissonized_spectra
         modified_tag = "poissonized"
 
+    def blocks(i: int) -> list:
+        # one rotation per side serves every beta and every series of fermion i
+        return [fermion_block(side, i) for side in (s0, s1)]
+
+    rotated = {a: blocks(a), b: blocks(b)}
     tables = {}
     deviations = []
-    otoc0 = [otoc(s0, a, b, beta, times) for beta in betas]
-    otoc1 = [otoc(s1, a, b, beta, times) for beta in betas]
+    otoc0, otoc1 = ([otoc(side, psi_a, psi_b, beta, times) for beta in betas]
+                    for side, psi_a, psi_b in zip((s0, s1), rotated[a], rotated[b]))
     tables["otoc_original.csv"] = series_table(otoc0)
     tables[f"otoc_{modified_tag}.csv"] = series_table(otoc1)
     for beta, x, y in zip(betas, otoc0, otoc1):
@@ -299,9 +304,8 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
         print(f"otoc(t=0, beta=0) = {at0.real:+.12f}{at0.imag:+.3e}i")
 
     for i in s["two_point"]:
-        psi = majorana_matrix(i, n)
-        g0 = [two_point(s0, psi, beta, times) for beta in betas]
-        g1 = [two_point(s1, psi, beta, times) for beta in betas]
+        g0, g1 = ([two_point(side, psi, beta, times) for beta in betas]
+                  for side, psi in zip((s0, s1), rotated.get(i) or blocks(i)))
         tables[f"two_point_f{i}_original.csv"] = series_table(g0)
         tables[f"two_point_f{i}_{modified_tag}.csv"] = series_table(g1)
         for beta, x, y in zip(betas, g0, g1):

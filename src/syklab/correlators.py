@@ -2,13 +2,14 @@
 
 All routines take the (even, odd) sector pair produced by
 spectral.diagonalize.  H conserves fermion parity, so its eigenbasis is the
-pair of sector bases U_e, U_o, and an operator O splits into the four
-sector blocks O[i, j]; in the energy basis each one is U_i^dagger O[i, j] U_j,
-of size (dim/2) x (dim/2).  A Majorana fermion is parity-odd: only its
-even -> odd and odd -> even blocks are nonzero, so the kernels never form a
-full dim x dim eigenbasis.  Each block is rotated once per call; time
-dependence is then pure phases, so dense matrix exponentials are never
-formed outside the small-N test oracles.
+pair of sector bases U_e, U_o.  A Majorana fermion psi_i is parity-odd and
+Hermitian, so in the energy basis it is whole once its even -> odd block
+A_i = U_e^dagger psi_i[e, o] U_o is known: the odd -> even block is
+A_i^dagger, and a bilinear i psi_a psi_b has the even block i A_a A_b^dagger.
+fermion_block rotates a fermion once; the kernels take that block, so a
+caller rotates each fermion once per eigenbasis, whatever the temperature
+or the number of series.  Time dependence is then pure phases, and neither
+a dense matrix exponential nor a full dim x dim eigenbasis is ever formed.
 
 Thermal weights are computed with the spectrum shifted by its minimum over
 both sectors, which keeps e^{-beta E} finite for any beta and makes every
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import DenseOperator, majorana_matrix
+from .pauli import majorana_matrix
 
 
 @dataclass(frozen=True)
@@ -49,71 +50,64 @@ def _thermal_weights(spectra, beta: float) -> list:
     return [np.exp(-beta * (sec.eigenvalues - floor)) for sec in spectra]
 
 
-def _energy_block(o: DenseOperator, row, col) -> np.ndarray:
-    """The (row, col) sector block of O in the energy basis, U_row^dagger O[row, col] U_col."""
-    if row.eigenvectors is None or col.eigenvectors is None:
+def fermion_block(spectra, i: int) -> np.ndarray:
+    """A_i = U_e^dagger psi_i[e, o] U_o, Majorana fermion i in the energy basis."""
+    even, odd = spectra
+    if even.eigenvectors is None or odd.eigenvectors is None:
         raise ValueError("correlators need eigenvectors; diagonalize with need_vectors=True")
-    return row.eigenvectors.conj().T @ o[np.ix_(row.basis_indices, col.basis_indices)] @ col.eigenvectors
+    dim = len(even.eigenvalues) + len(odd.eigenvalues)
+    psi = majorana_matrix(i, 2 * (dim.bit_length() - 1))
+    return even.eigenvectors.conj().T @ psi[np.ix_(even.basis_indices, odd.basis_indices)] @ odd.eigenvectors
 
 
-def two_point(spectra, o: DenseOperator, beta: float, times) -> CorrelatorSeries:
-    """(1/Z) Tr(e^{-beta H} O(t) O(0)) on a time grid.
+def _require_block(spectra, psi) -> np.ndarray:
+    psi = np.asarray(psi)
+    want = tuple(len(sec.eigenvalues) for sec in spectra)
+    if psi.shape != want:
+        raise ValueError(f"fermion block shape {psi.shape} does not match the sectors {want}")
+    return psi
 
-    With O_ij = U_i^dagger O[i, j] U_j the energy-basis sector blocks, the
-    value is sum_ij sum_{mn} w_im e^{i(E_im - E_jn)t} (O_ij)_mn (O_ji)_nm / Z:
-    per sector pair, (O_ij * O_ji^T) @ conj(p_j) weighted by w_i p_i, with
-    p the phases e^{iEt}.  Only the blocks O does not leave zero are
-    rotated, so a Majorana fermion costs two (dim/2)-sized rotations.
+
+def two_point(spectra, psi, beta: float, times) -> CorrelatorSeries:
+    """(1/Z) Tr(e^{-beta H} psi(t) psi(0)) of a Majorana fermion on a time grid.
+
+    psi is the fermion's block A = fermion_block(spectra, i).  Its odd -> even
+    block is A^dagger, so both sector pairs see only |A|^2: the value is
+    sum_{eo} |A_eo|^2 (w_e p_e conj(p_o) + w_o p_o conj(p_e)) / Z, with w the
+    thermal weights and p the phases e^{iEt}, two products of |A|^2 with a
+    phase grid.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    o = np.asarray(o)
-    dim = sum(len(sec.eigenvalues) for sec in spectra)
-    if o.shape != (dim, dim):
-        raise ValueError(f"operator shape {o.shape} does not match dimension {dim}")
+    psi = _require_block(spectra, psi)
     times = np.asarray(times, dtype=np.float64)
-    blocks = {
-        (i, j): _energy_block(o, row, col)
-        for i, row in enumerate(spectra)
-        for j, col in enumerate(spectra)
-        if np.any(o[np.ix_(row.basis_indices, col.basis_indices)])
-    }
-    weights = _thermal_weights(spectra, beta)
-    phases = [np.exp(1j * np.outer(sec.eigenvalues, times)) for sec in spectra]
-    values = np.zeros(times.size, dtype=np.complex128)
-    for (i, j), o_ij in blocks.items():
-        if (j, i) in blocks:
-            pair = o_ij * blocks[j, i].T
-            values += np.sum((weights[i][:, None] * phases[i]) * (pair @ phases[j].conj()), axis=0)
-    z = sum(w.sum() for w in weights)
-    return CorrelatorSeries(beta=beta, times=times, values=values / z)
+    square = psi.real ** 2 + psi.imag ** 2
+    w_e, w_o = _thermal_weights(spectra, beta)
+    p_e, p_o = (np.exp(1j * np.outer(sec.eigenvalues, times)) for sec in spectra)
+    values = np.sum((w_e[:, None] * p_e) * (square @ p_o.conj()), axis=0)
+    values += np.sum((w_o[:, None] * p_o) * (square.T @ p_e.conj()), axis=0)
+    return CorrelatorSeries(beta=beta, times=times, values=values / (w_e.sum() + w_o.sum()))
 
 
-def otoc(spectra, a: int, b: int, beta: float, times) -> CorrelatorSeries:
+def otoc(spectra, psi_a, psi_b, beta: float, times) -> CorrelatorSeries:
     """Out-of-time-order correlator of two Majorana fermions.
 
     (1/Z) Tr(y psi_a(t) y psi_b y psi_a(t) y psi_b) with y = e^{-beta H/4},
-    the symmetric four-fold splitting of the thermal weight.  Both fermions
-    are parity-odd, so with A = U_e^dagger psi_a[e, o] U_o and
-    B = U_o^dagger psi_b[o, e] U_e, the trace splits into an even and an odd
-    block trace: tr(m_ee^2) with m_ee = A(t) r_o B r_e, r = e^{-beta E/4},
+    the symmetric four-fold splitting of the thermal weight; psi_a = A_a and
+    psi_b = A_b are the fermions' fermion_block.  Both fermions are
+    parity-odd, so the trace splits into an even and an odd block trace:
+    tr(m_ee^2) with m_ee = A_a(t) r_o A_b^dagger r_e, r = e^{-beta E/4},
     one (dim/2)^3 product per time.  y and psi are Hermitian, so the odd
     block trace is the complex conjugate of the even one, and the value is
     2 Re tr(m_ee^2) / Z, real by construction.
     """
-    if a == b:
-        raise ValueError("fermion indices must differ")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    even, odd = spectra
-    dim = len(even.eigenvalues) + len(odd.eigenvalues)
-    n = 2 * (dim.bit_length() - 1)
-    psi_a = _energy_block(majorana_matrix(a, n), even, odd)
-    psi_b = _energy_block(majorana_matrix(b, n), odd, even)
+    psi_a, psi_b = (_require_block(spectra, psi) for psi in (psi_a, psi_b))
     times = np.asarray(times, dtype=np.float64)
     r_e, r_o = _thermal_weights(spectra, beta / 4.0)
     z = np.sum(r_e ** 4) + np.sum(r_o ** 4)
-    y_b = (r_o[:, None] * psi_b) * r_e[None, :]
+    y_b = (r_o[:, None] * psi_b.conj().T) * r_e[None, :]
     p_e, p_o = (np.exp(1j * np.outer(times, sec.eigenvalues)) for sec in spectra)
     values = np.empty(times.size)
     for i in range(times.size):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,8 +42,8 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n % 2 != 0 or not N_MIN <= self.n <= N_MAX:
             raise ValueError(f"n must be even in [{N_MIN}, {N_MAX}], got {self.n}")
-        if not self.j_scale > 0.0:
-            raise ValueError(f"j_scale must be positive, got {self.j_scale}")
+        if not 0.0 < self.j_scale < inf:
+            raise ValueError(f"j_scale must be positive and finite, got {self.j_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

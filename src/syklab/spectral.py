@@ -123,9 +123,6 @@ def gap_ratios(eigenvalues: np.ndarray) -> GapRatioSample:
         e = e[::2]
     gaps = np.diff(e)
     bad = gaps <= floor
-    if not bad.any():
-        # no masked copies: the Poisson reference takes ratios of 10^6 levels
-        return GapRatioSample(gaps[1:] / gaps[:-1], 0)
     keep = ~(bad[1:] | bad[:-1])
     ratios = gaps[1:][keep] / gaps[:-1][keep]
     return GapRatioSample(ratios, int(np.count_nonzero(bad)))
@@ -232,9 +229,8 @@ def sff_long_time_average(eigenvalues: np.ndarray, beta: float, t1: float, t2: f
 class MeanDensity:
     """Normalized histogram model of the mean spectral density.
 
-    density integrates to one over the edges; point evaluation uses
-    linear interpolation between bin centers, while transforms integrate
-    the piecewise constant histogram in closed form.
+    density integrates to one over the edges; transforms integrate the
+    piecewise constant histogram in closed form.
     """
 
     edges: np.ndarray
@@ -252,10 +248,6 @@ class MeanDensity:
     def require_normalized(self):
         if abs(self.norm - 1.0) > NORM_TOL:
             raise ValueError(f"density integrates to {self.norm:.6f}, not 1")
-
-    def density_at(self, e) -> np.ndarray:
-        centers = (self.edges[:-1] + self.edges[1:]) / 2.0
-        return np.interp(np.asarray(e, dtype=float), centers, self.density, left=0.0, right=0.0)
 
     def transform(self, w) -> np.ndarray:
         """integral rho(E) exp(-w E) dE for complex w, exact per bin."""

@@ -21,7 +21,7 @@ import pytest
 from fractions import Fraction
 from scipy.stats import ks_2samp
 
-from syklab.correlators import compare_series, cyclic_moment, gram_rank, otoc, tfd_gram, two_point
+from syklab.correlators import compare_series, cyclic_moment, fermion_block, gram_rank, otoc, tfd_gram, two_point
 from syklab.decompose import (
     majorana_coefficients,
     nonlocal_fraction,
@@ -202,10 +202,12 @@ def test_criterion_05_otoc_agreement(pool128_n14):
     s0 = pair.spectra
     s1 = diagonalize(pair.poissonized)
     times = np.linspace(0.0, 10.0, 512)
+    psi0 = [fermion_block(s0, i) for i in (1, 2)]
+    psi1 = [fermion_block(s1, i) for i in (1, 2)]
     devs = []
     for beta in (0.0, 1.0, 2.0, 3.0):
-        a = otoc(s0, 1, 2, beta, times)
-        b = otoc(s1, 1, 2, beta, times)
+        a = otoc(s0, *psi0, beta, times)
+        b = otoc(s1, *psi1, beta, times)
         if beta == 0.0:
             assert abs(a.values[0] - (-1.0)) <= 1e-10
             assert abs(b.values[0] - (-1.0)) <= 1e-10
@@ -234,8 +236,9 @@ def test_criterion_06_nonlocal_fraction_trend():
 
 def eigenbasis_series(spectra, times) -> np.ndarray:
     """Two-point series of the ten n=10 flavours plus the (1, 2) OTOC, beta = 1."""
-    rows = [two_point(spectra, majorana_matrix(i, 10), 1.0, times).values for i in range(10)]
-    rows.append(otoc(spectra, 1, 2, 1.0, times).values)
+    psi = [fermion_block(spectra, i) for i in range(10)]
+    rows = [two_point(spectra, block, 1.0, times).values for block in psi]
+    rows.append(otoc(spectra, psi[1], psi[2], 1.0, times).values)
     return np.array(rows)
 
 

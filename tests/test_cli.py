@@ -12,6 +12,7 @@ import pytest
 
 from syklab import cli, exports, metropolis
 from syklab.cli import build_parser, main
+from syklab.correlators import fermion_block
 from syklab.ensemble import EnsembleParams, sample_couplings
 from syklab.exports import read_coefficients, read_config, read_table
 
@@ -206,6 +207,8 @@ def test_traced_benchmark_runner_installs_its_spans(tmp_path):
     # --coefficients draws no pool: pool options beside it are refused before its file is read
     (["correlators", "--coefficients", "c.csv", "--pool-members", "999999"], "--pool-members"),
     (["correlators", "--coefficients", "c.csv", "--draw-stream", "5"], "--draw-stream"),
+    (["metropolis", "--stages", "nan:10"], "--stages"),
+    (["correlators", "--pool-members", "4", "--betas", "0,inf"], "--betas"),
 ])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -224,9 +227,11 @@ NUMERIC_OPTIONS = [
 
 @pytest.mark.parametrize("command, name", NUMERIC_OPTIONS, ids=[f"{c}-{n}" for c, n in NUMERIC_OPTIONS])
 def test_every_numeric_option_rejects_minus_one(tmp_path, command, name):
+    # and the non-finite floats, which an integer option cannot parse
     out = tmp_path / "out"
-    assert main([command, "--" + name.replace("_", "-"), "-1", "--out", str(out)]) == 2
-    assert not out.exists()
+    for value in ("-1", "inf", "nan"):
+        assert main([command, "--" + name.replace("_", "-"), value, "--out", str(out)]) == 2, value
+        assert not out.exists()
 
 
 def test_poissonize_row_counts(tmp_path):
@@ -283,6 +288,24 @@ def test_correlators_poissonized_reports_deviation(tmp_path):
     lines = (out / "deviation.csv").read_text().splitlines()
     assert len(lines) == 2
     assert (out / "otoc_poissonized.csv").exists()
+
+
+@pytest.mark.parametrize("two_point", ["all", "2,5"])
+def test_correlators_rotate_each_fermion_once_per_side(tmp_path, monkeypatch, two_point):
+    rotated = []
+
+    def counted(spectra, i):
+        rotated.append(i)
+        return fermion_block(spectra, i)
+
+    monkeypatch.setattr(cli, "fermion_block", counted)
+    assert main([
+        "correlators", "--n", "8", "--seed", "7", "--pool-members", "6", "--t-points", "16",
+        "--betas", "0,1,2,3", "--otoc-pair", "1,2", "--two-point", two_point, "--out", str(tmp_path / "run"),
+    ]) == 0
+    fermions = {1, 2} | (set(range(8)) if two_point == "all" else {2, 5})
+    assert set(rotated) == fermions
+    assert len(rotated) <= 2 * len(fermions)
 
 
 def test_decompose_syk_draw_is_local(tmp_path):

@@ -9,6 +9,7 @@ from syklab.correlators import (
     CorrelatorSeries,
     compare_series,
     cyclic_moment,
+    fermion_block,
     gram_rank,
     otoc,
     tfd_gram,
@@ -41,21 +42,6 @@ def systems(h8, spectra):
     return {N: (h8, spectra), 10: (h10, diagonalize(h10))}
 
 
-def probe_operators(n):
-    """Parity-odd psi_2, parity-even i psi_1 psi_4, and a Hermitian O with all four sector blocks nonzero.
-
-    Each has tr(O^2)/dim near 1, so an absolute bound means the same for all three.
-    """
-    dim = 1 << (n // 2)
-    rng = np.random.default_rng(n)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return {
-        "odd": majorana_matrix(2, n),
-        "even": 1j * majorana_matrix(1, n) @ majorana_matrix(4, n),
-        "dense": (m + m.conj().T) / (2.0 * np.sqrt(dim)),
-    }
-
-
 def dense_two_point_oracle(h, o, beta, t):
     # direct matrix-function evaluation, no energy basis
     rho = expm(-beta * h)
@@ -65,12 +51,10 @@ def dense_two_point_oracle(h, o, beta, t):
     return np.trace(rho @ o_t @ o) / z
 
 
-def dense_otoc_oracle(h, a, b, beta, t):
-    n = 2 * int(np.log2(h.shape[0]))
+def dense_otoc_oracle(h, pa, pb, beta, t):
     y = expm(-beta * h / 4.0)
     u_t = expm(1j * h * t)
-    pa = u_t @ majorana_matrix(a, n) @ u_t.conj().T
-    pb = majorana_matrix(b, n)
+    pa = u_t @ pa @ u_t.conj().T
     z = np.trace(expm(-beta * h))
     return np.trace(y @ pa @ y @ pb @ y @ pa @ y @ pb) / z
 
@@ -137,56 +121,70 @@ def test_partition_function_matches_sff(spectra):
     assert abs(z) ** 2 == pytest.approx(sff(ev, beta, np.array([t]))[0], rel=1e-12)
 
 
-def test_two_point_identity_operator(spectra):
-    series = two_point(spectra, np.eye(DIM), beta=1.3, times=np.linspace(0, 5, 7))
-    assert np.allclose(series.values, 1.0, atol=1e-12)
+def test_fermion_block_adjoint_is_the_odd_even_block(systems):
+    # psi_i is Hermitian, so U_o^dagger psi_i[o, e] U_e is the adjoint of A_i
+    for n, (_, (even, odd)) in systems.items():
+        for i in range(n):
+            psi = majorana_matrix(i, n)[np.ix_(odd.basis_indices, even.basis_indices)]
+            direct = odd.eigenvectors.conj().T @ psi @ even.eigenvectors
+            assert np.max(np.abs(fermion_block((even, odd), i).conj().T - direct)) < 1e-13, (n, i)
 
 
 def test_two_point_fermion_at_zero_time(spectra):
     for i in (0, 3, 7):
-        series = two_point(spectra, majorana_matrix(i, N), beta=2.0, times=np.array([0.0]))
+        series = two_point(spectra, fermion_block(spectra, i), beta=2.0, times=np.array([0.0]))
         assert series.values[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_point_matches_dense_oracle(systems):
     times = np.array([0.0, 0.4, 1.7, 3.9, 8.5])
     for n, (h, spectra) in systems.items():
-        for kind, o in probe_operators(n).items():
-            for beta in (0.0, 1.0, 1.1, 3.0):
-                series = two_point(spectra, o, beta, times)
+        for i in range(n):
+            psi = fermion_block(spectra, i)
+            for beta in (0.0, 1.0, 3.0):
+                series = two_point(spectra, psi, beta, times)
                 for t, v in zip(times, series.values):
-                    assert abs(v - dense_two_point_oracle(h, o, beta, t)) < 1e-8, (n, kind, beta, t)
+                    want = dense_two_point_oracle(h, majorana_matrix(i, n), beta, t)
+                    assert abs(v - want) < 1e-8, (n, i, beta, t)
 
 
 def test_two_point_zero_time_real_nonnegative(spectra):
+    # any block A is the even -> odd block of the Hermitian O with O_oe = A^dagger
     rng = np.random.default_rng(3)
-    m = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
-    o = m + m.conj().T
-    v = two_point(spectra, o, beta=0.9, times=np.array([0.0])).values[0]
+    block = rng.normal(size=(DIM // 2, DIM // 2)) + 1j * rng.normal(size=(DIM // 2, DIM // 2))
+    v = two_point(spectra, block, beta=0.9, times=np.array([0.0])).values[0]
     assert abs(v.imag) < 1e-10
     assert v.real >= 0.0
 
 
 def test_two_point_dimension_mismatch(spectra):
-    with pytest.raises(ValueError):
-        two_point(spectra, np.eye(DIM // 2), beta=1.0, times=np.array([0.0]))
+    # the kernels take a (dim/2) x (dim/2) block, not a dim x dim operator
+    for wrong in (majorana_matrix(0, N), np.eye(DIM // 2)[:, :-1]):
+        with pytest.raises(ValueError, match="block shape"):
+            two_point(spectra, wrong, beta=1.0, times=np.array([0.0]))
+        with pytest.raises(ValueError, match="block shape"):
+            otoc(spectra, fermion_block(spectra, 1), wrong, beta=1.0, times=np.array([0.0]))
 
 
 def test_otoc_at_infinite_temperature_zero_time(spectra):
-    v = otoc(spectra, 1, 2, beta=0.0, times=np.array([0.0])).values[0]
+    psi_a, psi_b = (fermion_block(spectra, i) for i in (1, 2))
+    v = otoc(spectra, psi_a, psi_b, beta=0.0, times=np.array([0.0])).values[0]
     assert v == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_otoc_matches_dense_oracle(systems):
     times = np.array([0.0, 0.6, 2.2, 5.0, 9.1])
     for n, (h, spectra) in systems.items():
-        for a, b in ((1, 2), (7, 3)):
-            for beta in (0.0, 1.0, 2.0, 3.0):
-                series = otoc(spectra, a, b, beta, times)
+        psi = [fermion_block(spectra, i) for i in range(n)]
+        for a in range(n):
+            b = (a + 3) % n
+            for beta in (0.0, 1.0, 3.0):
+                series = otoc(spectra, psi[a], psi[b], beta, times)
                 # 2 Re tr(m_ee^2) / Z: the imaginary part is zero by construction
                 assert np.all(series.values.imag == 0.0)
                 for t, v in zip(times, series.values):
-                    assert abs(v - dense_otoc_oracle(h, a, b, beta, t)) < 1e-8, (n, a, b, beta, t)
+                    want = dense_otoc_oracle(h, majorana_matrix(a, n), majorana_matrix(b, n), beta, t)
+                    assert abs(v - want) < 1e-8, (n, a, b, beta, t)
 
 
 def test_kernels_match_full_basis_formula_on_kramers_doublets():
@@ -194,30 +192,25 @@ def test_kernels_match_full_basis_formula_on_kramers_doublets():
     h = build_hamiltonian(sample_couplings(EnsembleParams(n=12, seed=7), member=0))
     spectra = diagonalize(h)
     times = np.linspace(0.0, 10.0, 17)
+    psi = {i: fermion_block(spectra, i) for i in (2, 5)}
     for beta in (0.0, 1.0, 3.0):
-        for o in probe_operators(12).values():
-            got = two_point(spectra, o, beta, times).values
-            assert np.max(np.abs(got - full_basis_two_point(spectra, o, beta, times))) < 1e-13
-        got = otoc(spectra, 5, 2, beta, times).values
+        got = two_point(spectra, psi[2], beta, times).values
+        want = full_basis_two_point(spectra, majorana_matrix(2, 12), beta, times)
+        assert np.max(np.abs(got - want)) < 1e-13
+        got = otoc(spectra, psi[5], psi[2], beta, times).values
         assert np.max(np.abs(got - full_basis_otoc(spectra, 5, 2, beta, times))) < 1e-13
 
 
 def test_correlators_need_eigenvectors(h8):
     spectra = diagonalize(h8, need_vectors=False)
     with pytest.raises(ValueError, match="eigenvectors"):
-        two_point(spectra, majorana_matrix(0, N), beta=1.0, times=np.array([0.0]))
-    with pytest.raises(ValueError, match="eigenvectors"):
-        otoc(spectra, 1, 2, beta=1.0, times=np.array([0.0]))
+        fermion_block(spectra, 0)
 
 
 def test_otoc_infinite_temperature_is_real(spectra):
-    series = otoc(spectra, 0, 5, beta=0.0, times=np.linspace(0, 10, 33))
+    psi_a, psi_b = (fermion_block(spectra, i) for i in (0, 5))
+    series = otoc(spectra, psi_a, psi_b, beta=0.0, times=np.linspace(0, 10, 33))
     assert np.max(np.abs(series.values.imag)) < 1e-10
-
-
-def test_otoc_equal_indices_rejected(spectra):
-    with pytest.raises(ValueError):
-        otoc(spectra, 3, 3, beta=1.0, times=np.array([0.0]))
 
 
 def shifted(spectra, c):
@@ -226,12 +219,12 @@ def shifted(spectra, c):
 
 def test_global_energy_shift_invariance(spectra):
     times = np.linspace(0.0, 6.0, 11)
-    o = majorana_matrix(4, N)
-    base_tp = two_point(spectra, o, 1.7, times).values
-    base_ot = otoc(spectra, 0, 1, 1.7, times).values
+    psi = [fermion_block(spectra, i) for i in (4, 0, 1)]
+    base_tp = two_point(spectra, psi[0], 1.7, times).values
+    base_ot = otoc(spectra, psi[1], psi[2], 1.7, times).values
     moved = shifted(spectra, 37.5)
-    assert np.max(np.abs(two_point(moved, o, 1.7, times).values - base_tp)) < 1e-10
-    assert np.max(np.abs(otoc(moved, 0, 1, 1.7, times).values - base_ot)) < 1e-10
+    assert np.max(np.abs(two_point(moved, psi[0], 1.7, times).values - base_tp)) < 1e-10
+    assert np.max(np.abs(otoc(moved, psi[1], psi[2], 1.7, times).values - base_ot)) < 1e-10
     # a shift rotates each TFD state's phase: entries change by e^{i dt c},
     # a diagonal unitary conjugation; moduli, rank, cyclic moments survive
     g0 = tfd_gram(spectra, 1.0, 2.0, 5)
