@@ -18,7 +18,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .correlators import compare_series, cyclic_moment, fermion_block, gram_rank, otoc, tfd_gram, two_point
 from .decompose import majorana_coefficients, nonlocal_fraction, size_spectrum, truncate_local
@@ -44,7 +43,14 @@ from .exports import (
 )
 from .metropolis import Schedule, check_run_fields, run_schedule
 from .poissonize import build_pool, poissonize, poissonize_member
-from .spectral import REFERENCES, combined_eigenvalues, diagonalize, min_ratio_statistic, sector_ratios
+from .spectral import (
+    REFERENCES,
+    combined_eigenvalues,
+    diagonalize,
+    ks_distance,
+    min_ratio_statistic,
+    sector_ratios,
+)
 
 
 LARGE_N = 20  # sizes at or above this need --large, the runtime warning gate
@@ -375,7 +381,7 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
     s1 = diagonalize(build_hamiltonian(result.couplings), need_vectors=False)
     stat0 = min_ratio_statistic(sector_ratios(s0))
     stat1 = min_ratio_statistic(sector_ratios(s1))
-    ks = float(ks_2samp(combined_eigenvalues(s0), combined_eigenvalues(s1)).statistic)
+    ks = ks_distance(combined_eigenvalues(s0), combined_eigenvalues(s1))
     rows = [
         ("statistic_initial", stat0),
         ("statistic_final", stat1),

@@ -27,8 +27,7 @@ from .ensemble import (
     trace_h_squared,
 )
 from .errors import NumericalError
-from .pauli import DenseOperator
-from .spectral import diagonalize
+from .pauli import DenseOperator, sector_block_positions
 
 # pair distances are floored at this fraction of the spectral bandwidth
 # inside the logarithm, so exact degeneracies contribute a large finite
@@ -87,30 +86,52 @@ def _pair_indices(size: int):
     return np.triu_indices(size, k=1)
 
 
-def objective_from_eigenvalues(eigenvalues: np.ndarray, beta_d: float) -> float:
-    """-beta_d sum_{i<j} ln|l_i - l_j| with degenerate pairs clamped."""
-    ev = np.asarray(eigenvalues, dtype=np.float64)
-    if ev.size < 2:
+def objective_from_eigenvalues(eigenvalues: np.ndarray, beta_d: float, multiplicity: int = 1) -> float:
+    """-beta_d sum_{i<j} ln|l_i - l_j| with degenerate pairs clamped.
+
+    Each given level counts m = multiplicity times: a pair of distinct
+    levels appears m^2 times, and the m copies of one level make m(m-1)/2
+    exactly degenerate pairs, each clamped.
+    """
+    ev = np.sort(np.asarray(eigenvalues, dtype=np.float64))
+    if ev.size * multiplicity < 2:
         return 0.0
-    bandwidth = float(ev.max() - ev.min())
-    floor = LOG_CLAMP_FACTOR * bandwidth
+    floor = LOG_CLAMP_FACTOR * float(ev[-1] - ev[0])
     if floor == 0.0:
         floor = np.finfo(np.float64).tiny
     i, j = _pair_indices(ev.size)
-    gaps = np.abs(ev[i] - ev[j])
-    return float(-beta_d * np.sum(np.log(np.maximum(gaps, floor))))
+    log_gaps = np.log(np.maximum(ev[j] - ev[i], floor)).sum()
+    if multiplicity > 1:
+        copies = ev.size * multiplicity * (multiplicity - 1) // 2
+        log_gaps = multiplicity ** 2 * log_gaps + copies * np.log(floor)
+    return float(-beta_d * log_gaps)
 
 
 def objective(h: DenseOperator, beta_d: float, per_sector: bool = False) -> float:
-    """f(H, beta_D) from the full spectrum, or summed per parity sector.
+    """f(H, beta_D) of an SYK Hamiltonian from its parity blocks.
 
-    The default mixes the sectors, the literal reading of the algorithm;
-    per_sector=True drops the physically unconstrained cross-sector pairs.
+    The default takes the union of the two sector spectra, the literal
+    reading of the algorithm; per_sector=True sums f over the sectors and so
+    drops the physically unconstrained cross-sector pairs.  When
+    q = log2(dim) is odd (N = 2 mod 4), particle-hole symmetry maps the even
+    sector onto the odd one with the same spectrum (You, Ludwig & Xu,
+    arXiv:1602.06964), so only the even block is diagonalized and each of
+    its levels counts twice; h must then have that symmetry, as every SYK H
+    has.
     """
+    h = np.asarray(h)
+    dim = h.shape[0]
+    even, odd = sector_block_positions(dim)
+    q = dim.bit_length() - 1  # dim = 2^q
+    if q % 2:
+        levels = np.linalg.eigvalsh(h.take(even))
+        if per_sector:
+            return 2.0 * objective_from_eigenvalues(levels, beta_d)
+        return objective_from_eigenvalues(levels, beta_d, multiplicity=2)
+    blocks = [np.linalg.eigvalsh(h.take(positions)) for positions in (even, odd)]
     if per_sector:
-        spectra = diagonalize(np.asarray(h, dtype=complex), need_vectors=False)
-        return sum(objective_from_eigenvalues(s.eigenvalues, beta_d) for s in spectra)
-    return objective_from_eigenvalues(np.linalg.eigvalsh(h), beta_d)
+        return sum(objective_from_eigenvalues(levels, beta_d) for levels in blocks)
+    return objective_from_eigenvalues(np.concatenate(blocks), beta_d)
 
 
 def step_length(sigma: float, x: float) -> float:

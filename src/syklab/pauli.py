@@ -16,6 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,6 +235,22 @@ def parity_sector_indices(dim: int):
     return np.nonzero(even)[0], np.nonzero(~even)[0]
 
 
+@lru_cache(maxsize=4)
+def sector_block_positions(dim: int):
+    """Row-major flat positions of the (even, even) and (odd, odd) blocks.
+
+    For a dim x dim array a, a.take(positions) is the sector block
+    a[np.ix_(idx, idx)], cut by one flat gather.  The arrays are cached per
+    dim and read-only.
+    """
+    out = []
+    for idx in parity_sector_indices(dim):
+        positions = idx[:, None] * dim + idx
+        positions.flags.writeable = False
+        out.append(positions)
+    return tuple(out)
+
+
 def sector_split(a: DenseOperator):
     """Split a parity conserving operator into its even and odd blocks.
 
@@ -265,7 +282,8 @@ def sector_split(a: DenseOperator):
             f"exceeds {PARITY_LEAK_TOL:g} of total {total:.3e}",
             leaked=float(off),
         )
-    return a[np.ix_(even, even)], a[np.ix_(odd, odd)], (even, odd)
+    ee, oo = (a.take(positions) for positions in sector_block_positions(a.shape[0]))
+    return ee, oo, (even, odd)
 
 
 def require_hermitian(a: DenseOperator):

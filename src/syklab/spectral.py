@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 import numpy as np
 
@@ -90,6 +90,25 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True):
 def combined_eigenvalues(spectra) -> np.ndarray:
     """Ascending union of the sector spectra."""
     return np.sort(np.concatenate([s.eigenvalues for s in spectra]))
+
+
+def ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup_x |F_a(x) - F_b(x)|.
+
+    The empirical CDFs are compared at every sample point.  The largest
+    difference lies on the lattice k / lcm(len(a), len(b)) and is rounded
+    onto it, as the exact mode of scipy.stats.ks_2samp does, so the two
+    agree bit for bit wherever scipy uses that mode (both samples of at
+    most 10 000 values).
+    """
+    a, b = np.sort(a), np.sort(b)
+    if a.size == 0 or b.size == 0:
+        raise ValueError("ks_distance needs two non-empty samples")
+    both = np.concatenate([a, b])
+    diff = np.searchsorted(a, both, side="right") / a.size - np.searchsorted(b, both, side="right") / b.size
+    d = max(float(diff.max()), float(-diff.min()))
+    scale = lcm(a.size, b.size)
+    return round(d * scale) / scale
 
 
 @dataclass(frozen=True)

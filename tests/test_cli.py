@@ -37,6 +37,15 @@ def test_sample_rerun_is_byte_identical(tmp_path):
     assert np.array_equal(couplings.values, sample_couplings(EnsembleParams(n=8, seed=1), 0).values)
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, syklab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sample_rejects_odd_n(tmp_path):
     assert main(["sample", "--n", "7", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
 

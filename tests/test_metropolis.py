@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from syklab import metropolis
 from syklab.ensemble import (
     CouplingTensor,
     EnsembleParams,
     build_hamiltonian,
+    member_rng,
     sample_couplings,
     trace_h_squared,
 )
@@ -21,6 +23,7 @@ from syklab.metropolis import (
     run_schedule,
     step_length,
 )
+from syklab.spectral import diagonalize
 
 
 def test_objective_two_levels():
@@ -50,14 +53,78 @@ def test_objective_clamps_degenerate_pair():
     assert np.isfinite(objective_from_eigenvalues(np.array([2.0, 2.0, 2.0]), 1.0))
 
 
+def full_spectrum_objective(h, beta_d, per_sector=False):
+    """The oracle: f from eigvalsh of the whole H, or summed over diagonalize's sectors."""
+    if per_sector:
+        spectra = diagonalize(h, need_vectors=False)
+        return sum(objective_from_eigenvalues(s.eigenvalues, beta_d) for s in spectra)
+    return objective_from_eigenvalues(np.linalg.eigvalsh(h), beta_d)
+
+
 def test_objective_dense_and_per_sector():
-    assert objective(np.diag([0.0, 1.0, 2.0]).astype(complex), 1.0) == pytest.approx(-np.log(2.0))
+    # n = 4: the even sector is basis states {0, 3}, the odd one {1, 2}
+    h = np.zeros((4, 4), dtype=complex)
+    h[np.ix_([0, 3], [0, 3])] = [[1.0, 1.0j], [-1.0j, 1.0]]  # levels 0 and 2
+    h[1, 1], h[2, 2] = 1.0, 3.0
+    # levels 0, 1, 2, 3: the gaps 1, 2, 3, 1, 2, 1 multiply to 12
+    assert objective(h, 1.0) == pytest.approx(-np.log(12.0), rel=1e-12)
+    # each sector alone has one gap of 2
+    assert objective(h, 1.0, per_sector=True) == pytest.approx(-2.0 * np.log(2.0), rel=1e-12)
     h = build_hamiltonian(sample_couplings(EnsembleParams(n=8, seed=3), member=0))
     full = objective(h, 1.0)
     split = objective(h, 1.0, per_sector=True)
     assert np.isfinite(full) and np.isfinite(split)
     # per-sector drops the cross-sector pairs, so the values must differ
     assert full != pytest.approx(split)
+
+
+def test_objective_multiplicity_counts_every_copy():
+    levels = np.array([0.0, 1.0, 3.0])
+    doubled = objective_from_eigenvalues(np.repeat(levels, 2), 0.7)
+    assert objective_from_eigenvalues(levels, 0.7, multiplicity=2) == pytest.approx(doubled, rel=1e-13)
+
+
+@pytest.mark.parametrize("per_sector", [False, True])
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_objective_matches_full_spectrum_oracle(n, per_sector):
+    params = EnsembleParams(n=n, seed=42)
+    for member in range(10):
+        h = build_hamiltonian(sample_couplings(params, member))
+        want = full_spectrum_objective(h, 1.5, per_sector)
+        assert objective(h, 1.5, per_sector) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, shapes", [(10, [(16, 16)]), (8, [(8, 8), (8, 8)])])
+def test_objective_diagonalizes_sector_blocks_only(monkeypatch, n, shapes):
+    # q = n/2 odd: the odd block repeats the even block's spectrum, so one block does
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def spy(a):
+        seen.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    h = build_hamiltonian(sample_couplings(EnsembleParams(n=n, seed=42), 0))
+    for per_sector in (False, True):
+        seen.clear()
+        objective(h, 1.0, per_sector)
+        assert seen == shapes
+
+
+@pytest.mark.parametrize("per_sector", [False, True])
+def test_chain_matches_full_spectrum_oracle(monkeypatch, per_sector):
+    params = EnsembleParams(n=10, seed=42)
+    schedule = Schedule(stages=((0.5, 1000), (1.0, 1000)))
+    fast = run_schedule(params, schedule, member_rng(42, 10 ** 6), per_sector=per_sector)
+    monkeypatch.setattr(metropolis, "objective", full_spectrum_objective)
+    slow = run_schedule(params, schedule, member_rng(42, 10 ** 6), per_sector=per_sector)
+    assert np.array_equal(fast.couplings.values, slow.couplings.values)
+    assert [(r.step, r.sigma, r.accept_rate) for r in fast.trajectory] == [
+        (r.step, r.sigma, r.accept_rate) for r in slow.trajectory
+    ]
+    # f is ill-conditioned near clamped gaps, so the logged values agree only to roundoff
+    for a, b in zip(fast.trajectory, slow.trajectory):
+        assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
 
 def test_step_length_examples():

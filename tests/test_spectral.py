@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
 from syklab.spectral import (
@@ -15,6 +16,7 @@ from syklab.spectral import (
     combined_eigenvalues,
     diagonalize,
     gap_ratios,
+    ks_distance,
     min_ratio_statistic,
     poisson_moment,
     reference_ratio_statistic,
@@ -92,6 +94,26 @@ def test_min_ratio_statistic_symmetry():
     assert min_ratio_statistic(r) == pytest.approx((0.5 + 0.5 + 1.0) / 3.0)
     with pytest.raises(ValueError):
         min_ratio_statistic(np.empty(0))
+
+
+def test_ks_distance_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for k in range(3000):
+        n1, n2 = (int(v) for v in rng.integers(2, 1101, size=2))
+        if k % 3 == 0:  # many ties, within and across the samples
+            a, b = rng.integers(0, 20, n1).astype(float), rng.integers(0, 20, n2).astype(float)
+        elif k % 3 == 1:
+            a, b = rng.normal(size=n1), rng.normal(0.1, 1.2, size=n2)
+        else:
+            a, b = np.round(rng.normal(size=n1), 1), np.round(rng.normal(size=n2), 1)
+        assert ks_distance(a, b) == float(ks_2samp(a, b).statistic), (n1, n2)
+
+
+def test_ks_distance_edge_cases():
+    assert ks_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert ks_distance([0.0, 1.0], [2.0, 3.0, 4.0]) == 1.0
+    with pytest.raises(ValueError):
+        ks_distance([], [1.0])
 
 
 def test_poisson_reference_matches_analytic_value():
