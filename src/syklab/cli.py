@@ -41,7 +41,7 @@ from .exports import (
     write_manifest,
     write_table,
 )
-from .metropolis import Schedule, check_run_fields, run_schedule
+from .metropolis import Schedule, restore_chain, run_schedule
 from .poissonize import build_pool, poissonize, poissonize_member
 from .spectral import (
     REFERENCES,
@@ -147,13 +147,14 @@ def _coefficients(text: str, s: dict, large: bool) -> CouplingTensor | None:
 
 
 def _resume(text: str, s: dict, large: bool) -> dict | None:
-    """The checkpoint payload, once its run fields match this run's."""
+    """The checkpoint payload, once it restores into this run's chain."""
     if not text:
         return None
     payload = read_checkpoint(text)
     schedule = Schedule(stages=_stages(s["stages"], s, large), window=s["window"])
     params = EnsembleParams(n=s["n"], j_scale=s["j_scale"], seed=s["seed"])
-    check_run_fields(payload, params, schedule, s["member"], s["per_sector"])
+    rng = member_rng(s["seed"], s["chain_stream"])
+    restore_chain(payload, params, schedule, s["member"], s["per_sector"], rng)
     return payload
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import majorana_matrix
+from .pauli import majorana_matrix, sector_block_positions
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def fermion_block(spectra, i: int) -> np.ndarray:
         raise ValueError("correlators need eigenvectors; diagonalize with need_vectors=True")
     dim = len(even.eigenvalues) + len(odd.eigenvalues)
     psi = majorana_matrix(i, 2 * (dim.bit_length() - 1))
-    return even.eigenvectors.conj().T @ psi[np.ix_(even.basis_indices, odd.basis_indices)] @ odd.eigenvectors
+    return even.eigenvectors.conj().T @ psi.take(sector_block_positions(dim)[0][1]) @ odd.eigenvectors
 
 
 def _require_block(spectra, psi) -> np.ndarray:

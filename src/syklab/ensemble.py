@@ -47,10 +47,6 @@ class EnsembleParams:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
-    @property
-    def dim(self) -> int:
-        return 2 ** (self.n // 2)
-
 
 def coupling_variance(n: int, j_scale: float = 1.0) -> float:
     """Per coupling variance; 1/280 at n=8, j_scale=1."""

@@ -13,12 +13,13 @@ import hashlib
 import json
 import os
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
 from .decompose import FermionExpansion
 from .ensemble import CouplingTensor, coupling_subsets
+from .pauli import SECTORS
 from .poissonize import EigenvaluePool
 
 
@@ -80,7 +81,11 @@ def coefficients_table(couplings: CouplingTensor):
 
 
 def read_coefficients(path) -> CouplingTensor:
-    """Rows may come in any order; n is inferred from the index range."""
+    """Rows may come in any order; n is inferred from the index range.
+
+    Each row holds four strictly ascending nonnegative indices and a finite
+    value; a ValueError names the first row that does not.
+    """
     rows = read_table(path, "i1,i2,i3,i4,value")
     if not rows:
         raise ValueError(f"{path}: no coefficient rows")
@@ -89,8 +94,12 @@ def read_coefficients(path) -> CouplingTensor:
     for row in rows:
         if len(row) != 5:
             raise ValueError(f"{path}: bad row {row!r}")
-        subset = tuple(int(i) for i in row[:4])
-        entries[subset] = float(row[4])
+        subset, value = tuple(int(i) for i in row[:4]), float(row[4])
+        if not (0 <= subset[0] < subset[1] < subset[2] < subset[3] and isfinite(value)):
+            raise ValueError(
+                f"{path}: bad row {row!r}: want strictly ascending nonnegative indices and a finite value"
+            )
+        entries[subset] = value
         top = max(top, subset[3])
     n = top + 1
     if len(entries) != comb(n, 4):
@@ -100,7 +109,7 @@ def read_coefficients(path) -> CouplingTensor:
 
 
 def spectrum_table(spectra):
-    rows = ((s.sector, i, e) for s in spectra for i, e in enumerate(s.eigenvalues.tolist()))
+    rows = ((tag, i, e) for tag, s in zip(SECTORS, spectra) for i, e in enumerate(s.eigenvalues.tolist()))
     return numeric_table("sector,index,eigenvalue", rows)
 
 
@@ -125,7 +134,7 @@ def gram_table(matrix):
 
 
 def pool_table(pool: EigenvaluePool):
-    rows = ((tag, e) for tag in ("even", "odd") for e in pool.sector(tag).tolist())
+    rows = ((tag, e) for tag, values in zip(SECTORS, (pool.even, pool.odd)) for e in values.tolist())
     return numeric_table("sector,eigenvalue", rows)
 
 

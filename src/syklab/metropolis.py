@@ -121,7 +121,7 @@ def objective(h: DenseOperator, beta_d: float, per_sector: bool = False) -> floa
     """
     h = np.asarray(h)
     dim = h.shape[0]
-    even, odd = sector_block_positions(dim)
+    (even, _), (_, odd) = sector_block_positions(dim)
     q = dim.bit_length() - 1  # dim = 2^q
     if q % 2:
         levels = np.linalg.eigvalsh(h.take(even))
@@ -202,14 +202,82 @@ def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sec
     }
 
 
-def check_run_fields(payload: dict, params: EnsembleParams, schedule: Schedule, member: int,
-                     per_sector: bool) -> None:
-    """Raise ValueError, naming the field, unless payload was recorded by this run."""
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError("want a nonnegative integer")
+    return value
+
+
+def _finite(value) -> np.ndarray:
+    out = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("want finite numbers")
+    return out
+
+
+def _real(value) -> float:
+    out = _finite(value)
+    if out.shape != ():
+        raise ValueError("want one number")
+    return float(out)
+
+
+def _positive(value) -> float:
+    value = _real(value)
+    if not value > 0.0:
+        raise ValueError("want a positive number")
+    return value
+
+
+def restore_chain(payload: dict, params: EnsembleParams, schedule: Schedule, member: int,
+                  per_sector: bool, rng: np.random.Generator):
+    """The chain state a checkpoint payload records, with rng set to its generator state.
+
+    Returns (state, target_trace, global_step, stage_index, stage_step).
+
+    Raises
+    ------
+    ValueError
+        Naming the field, if payload lacks a field, was recorded with another
+        version, n, seed, j_scale, member, stage list, window or per_sector,
+        or holds a value that no step of this run can have.
+    """
     for key, want in _run_fields(params, schedule, member, per_sector).items():
         if key not in payload:
             raise ValueError(f"checkpoint has no {key!r} field")
         if payload[key] != want:
             raise ValueError(f"checkpoint {key} is {payload[key]!r}, but this run has {want!r}")
+
+    def field(key, parse):
+        if key not in payload:
+            raise ValueError(f"checkpoint has no {key!r} field")
+        try:
+            return parse(payload[key])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"checkpoint {key} is {payload[key]!r:.80}: {exc}") from None
+
+    state = ChainState(
+        couplings=field("couplings", lambda v: CouplingTensor(params.n, _finite(v))),
+        objective=field("objective", _real),
+        sigma=field("sigma", _positive),
+        accept_count=field("accept_count", _count),
+        step_count=field("window_step", _count),
+        stage=0.0,
+        rng=rng,
+    )
+    if not state.accept_count <= state.step_count < schedule.window:
+        raise ValueError(f"checkpoint accept_count {state.accept_count} and window_step "
+                         f"{state.step_count} do not fit a window of {schedule.window} steps")
+    global_step, stage_index, stage_step = (
+        field(key, _count) for key in ("global_step", "stage_index", "stage_step")
+    )
+    steps = [int(s) for _, s in schedule.stages] + [0]  # a chain of no stages rests at stage 0, step 0
+    if (stage_index >= len(steps) or stage_step > steps[stage_index]
+            or global_step != sum(steps[:stage_index]) + stage_step):
+        raise ValueError(f"checkpoint global_step {global_step}, stage_index {stage_index} and "
+                         f"stage_step {stage_step} name no step of these stages")
+    field("rng_state", lambda v: setattr(rng.bit_generator, "state", v))
+    return state, field("target_trace", _positive), global_step, stage_index, stage_step
 
 
 def checkpoint_payload(
@@ -261,9 +329,11 @@ def run_schedule(
     Raises
     ------
     ValueError
-        If the resume payload lacks a field, or was recorded with another
-        version, n, seed, j_scale, member, stage list, window or
-        per_sector; the message names the field.
+        If restore_chain rejects the resume payload; the message names the
+        field.
+    OSError
+        If checkpoint_sink fails with one; the message names the step and
+        the last durable checkpoint.
     NumericalError
         If the final tr(H^2) differs from the target by more than
         TRACE_DRIFT_TOL, relative.
@@ -278,26 +348,9 @@ def run_schedule(
             params, schedule, start, member, per_sector, trace_h_squared(couplings), 0, 0, 0
         )
 
-    def field(key):
-        if key not in resume:
-            raise ValueError(f"checkpoint has no {key!r} field")
-        return resume[key]
-
-    check_run_fields(resume, params, schedule, member, per_sector)
-    target = float(field("target_trace"))
-    rng.bit_generator.state = field("rng_state")
-    state = ChainState(
-        couplings=CouplingTensor(params.n, np.asarray(field("couplings"))),
-        objective=float(field("objective")),
-        sigma=float(field("sigma")),
-        accept_count=int(field("accept_count")),
-        step_count=int(field("window_step")),
-        stage=0.0,
-        rng=rng,
+    state, target, global_step, start_stage, start_stage_step = restore_chain(
+        resume, params, schedule, member, per_sector, rng
     )
-    global_step = int(field("global_step"))
-    start_stage = int(field("stage_index"))
-    start_stage_step = int(field("stage_step"))
 
     trajectory = []
     last_durable = None if fresh else global_step
@@ -333,10 +386,10 @@ def run_schedule(
                 )
                 try:
                     checkpoint_sink(payload)
-                except Exception as exc:
+                except OSError as exc:
                     at = "none" if last_durable is None else f"step {last_durable}"
-                    raise RuntimeError(
-                        f"checkpoint write failed at step {global_step}; last durable checkpoint: {at}"
+                    raise OSError(
+                        f"checkpoint write failed at step {global_step}; last durable checkpoint: {at} ({exc})"
                     ) from exc
                 last_durable = global_step
     drift = abs(trace_h_squared(state.couplings) - target) / target

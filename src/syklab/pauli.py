@@ -226,6 +226,9 @@ def accumulate_string(out: DenseOperator, ps: PauliString, coeff: complex) -> No
     out[rows, np.arange(dim)] += coeff * vals
 
 
+SECTORS = ("even", "odd")  # the order of every pair of sector data: a sector is its position
+
+
 def parity_sector_indices(dim: int):
     """Basis indices of the even (even popcount) and odd sectors."""
     if dim <= 0 or dim & (dim - 1):
@@ -237,18 +240,17 @@ def parity_sector_indices(dim: int):
 
 @lru_cache(maxsize=4)
 def sector_block_positions(dim: int):
-    """Row-major flat positions of the (even, even) and (odd, odd) blocks.
+    """Row-major flat positions of the sector blocks of a dim x dim array.
 
-    For a dim x dim array a, a.take(positions) is the sector block
-    a[np.ix_(idx, idx)], cut by one flat gather.  The arrays are cached per
-    dim and read-only.
+    positions[r][c] holds the block with rows in sector r and columns in
+    sector c, in SECTORS order: a.take(positions[r][c]) cuts it and
+    np.put(a, positions[r][c], block) places it.  Cached per dim, read-only.
     """
-    out = []
-    for idx in parity_sector_indices(dim):
-        positions = idx[:, None] * dim + idx
+    sectors = parity_sector_indices(dim)
+    out = tuple(tuple(rows[:, None] * dim + cols for cols in sectors) for rows in sectors)
+    for positions in out[0] + out[1]:
         positions.flags.writeable = False
-        out.append(positions)
-    return tuple(out)
+    return out
 
 
 def sector_split(a: DenseOperator):
@@ -261,7 +263,7 @@ def sector_split(a: DenseOperator):
 
     Returns
     -------
-    (even_block, odd_block, (even_indices, odd_indices))
+    (even_block, odd_block)
 
     Raises
     ------
@@ -272,9 +274,8 @@ def sector_split(a: DenseOperator):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    even, odd = parity_sector_indices(a.shape[0])
-    off = np.linalg.norm(a[np.ix_(even, odd)]) ** 2 + np.linalg.norm(a[np.ix_(odd, even)]) ** 2
-    off = np.sqrt(off)
+    (ee, eo), (oe, oo) = sector_block_positions(a.shape[0])
+    off = np.sqrt(np.linalg.norm(a.take(eo)) ** 2 + np.linalg.norm(a.take(oe)) ** 2)
     total = np.linalg.norm(a)
     if total > 0.0 and off > PARITY_LEAK_TOL * total:
         raise StructureError(
@@ -282,8 +283,7 @@ def sector_split(a: DenseOperator):
             f"exceeds {PARITY_LEAK_TOL:g} of total {total:.3e}",
             leaked=float(off),
         )
-    ee, oo = (a.take(positions) for positions in sector_block_positions(a.shape[0]))
-    return ee, oo, (even, odd)
+    return a.take(ee), a.take(oo)
 
 
 def require_hermitian(a: DenseOperator):

@@ -10,12 +10,12 @@ norm relative to H', of order 2^{-N/4}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
-from .pauli import DenseOperator
+from .pauli import SECTORS, DenseOperator, sector_block_positions
 from .spectral import SectorSpectrum, diagonalize
 
 
@@ -25,13 +25,6 @@ class EigenvaluePool:
 
     even: np.ndarray
     odd: np.ndarray
-
-    def sector(self, tag: str) -> np.ndarray:
-        if tag == "even":
-            return self.even
-        if tag == "odd":
-            return self.odd
-        raise ValueError(f"unknown sector {tag!r}")
 
 
 def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> EigenvaluePool:
@@ -56,8 +49,8 @@ class PoissonizedPair:
 
     H' = U D' U^dag keeps the eigenbasis of H, so the spectrum of H' is D'
     by construction: each sector of `poissonized_spectra` shares its
-    eigenvectors and basis indices with the same sector of `spectra`, and
-    its eigenvalues are the sorted replacement levels D'.
+    eigenvectors with the same sector of `spectra`, and its eigenvalues
+    are the sorted replacement levels D'.
     """
 
     original: DenseOperator
@@ -87,16 +80,15 @@ def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator)
     """
     spectra = diagonalize(h)
     dim = h.shape[0]
+    (ee, _), (_, oo) = sector_block_positions(dim)
     h_prime = np.zeros((dim, dim), dtype=complex)
     replaced = []
-    for s in spectra:
-        values = pool.sector(s.sector)
+    for tag, s, values, positions in zip(SECTORS, spectra, (pool.even, pool.odd), (ee, oo)):
         if values.size == 0:
-            raise ValueError(f"empty pool for sector {s.sector}")
+            raise ValueError(f"empty pool for sector {tag}")
         d_prime = np.sort(values[rng.integers(0, values.size, size=s.eigenvalues.size)])
-        replaced.append(SectorSpectrum(s.sector, d_prime, s.eigenvectors, s.basis_indices))
-        block = (s.eigenvectors * d_prime) @ s.eigenvectors.conj().T
-        h_prime[np.ix_(s.basis_indices, s.basis_indices)] = block
+        replaced.append(replace(s, eigenvalues=d_prime))
+        np.put(h_prime, positions, (s.eigenvectors * d_prime) @ s.eigenvectors.conj().T)
     return PoissonizedPair(
         original=h, poissonized=h_prime, spectra=spectra, poissonized_spectra=tuple(replaced)
     )

@@ -37,14 +37,12 @@ class SectorSpectrum:
     """Eigendata of one parity sector.
 
     eigenvalues ascend; eigenvectors hold one normalized column per
-    eigenvalue, expressed in the sector's own basis; basis_indices map
-    sector rows back to full space basis states.
+    eigenvalue, expressed in the sector's own basis.  Spectra come in
+    (even, odd) pairs, pauli.SECTORS order: the place names the sector.
     """
 
-    sector: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    basis_indices: np.ndarray
 
 
 def diagonalize(h: DenseOperator, need_vectors: bool = True):
@@ -69,9 +67,8 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True):
         If ||U w U^dag - H_sector||_F exceeds RESIDUAL_TOL of ||H_sector||_F.
     """
     require_hermitian(h)
-    ee, oo, (even_idx, odd_idx) = sector_split(h)
     out = []
-    for tag, block, idx in (("even", ee, even_idx), ("odd", oo, odd_idx)):
+    for block in sector_split(h):
         if need_vectors:
             w, u = np.linalg.eigh(block)
             scale = max(float(np.linalg.norm(block)), 1e-300)
@@ -83,7 +80,7 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True):
                 )
         else:
             w, u = np.linalg.eigvalsh(block), None
-        out.append(SectorSpectrum(tag, w, u, idx))
+        out.append(SectorSpectrum(w, u))
     return tuple(out)
 
 

@@ -381,7 +381,7 @@ def test_metropolis_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert tail == whole[-1:]
 
 
-def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
+def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch, capsys):
     argv = [
         "metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
         "--window", "50", "--checkpoint-every", "100",
@@ -400,8 +400,11 @@ def test_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
         real_dump(obj, fp, **kwargs)
 
     monkeypatch.setattr(exports.json, "dump", dump_dies_on_second_checkpoint)
-    with pytest.raises(RuntimeError, match="last durable checkpoint: step 100"):
-        main(argv + ["--out", str(crashed)])
+    capsys.readouterr()
+    assert main(argv + ["--out", str(crashed)]) == 4
+    err = capsys.readouterr().err
+    assert "I/O error: checkpoint write failed at step 200; last durable checkpoint: step 100" in err
+    assert "Traceback" not in err
     monkeypatch.undo()
     assert sorted(p.name for p in crashed.iterdir()) == ["checkpoint.json"]
     assert json.loads((crashed / "checkpoint.json").read_text())["global_step"] == 100
@@ -461,21 +464,29 @@ def test_a_chain_killed_after_a_checkpoint_resumes_bit_exactly(tmp_path):
     assert tail == whole[:1] + whole[-4:]
 
 
+# a checkpoint is given as its text, or as edits to the checkpoint of a CHAIN run
 @pytest.mark.parametrize("checkpoint, flags, named", [
     ("{}", [], "'version'"),
     ('{"version": 1}', [], "checkpoint version is 1"),
     ('{"version": 1, "n": 8, "seed"', [], "checkpoint.json: not a readable checkpoint"),
     ("[8, 42]", [], "checkpoint.json: not a readable checkpoint"),
-    (None, ["--member", "5", "--j-scale", "2", "--per-sector", "--stages", "0.5:250,1.0:100"], "j_scale"),
-    (None, ["--stages", "0.5:250,1.0:100"], "stages"),
-    (None, ["--per-sector"], "per_sector"),
-    (None, ["--window", "25"], "window"),
-], ids=["empty", "older-version", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window"])
+    ({}, ["--member", "5", "--j-scale", "2", "--per-sector", "--stages", "0.5:250,1.0:100"], "j_scale"),
+    ({}, ["--stages", "0.5:250,1.0:100"], "stages"),
+    ({}, ["--per-sector"], "per_sector"),
+    ({}, ["--window", "25"], "window"),
+    ({"rng_state": 5}, [], "checkpoint rng_state is 5"),
+    ({"global_step": None}, [], "checkpoint global_step is None"),
+    ({"accept_count": [1]}, [], "checkpoint accept_count is [1]"),
+    ({"couplings": [0.1, 0.2]}, [], "checkpoint couplings is [0.1, 0.2]"),
+    ({"sigma": "x"}, [], "checkpoint sigma is 'x'"),
+], ids=["empty", "older-version", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window",
+        "rng-state", "global-step", "accept-count", "couplings", "sigma"])
 def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint, flags, named):
     path = tmp_path / "checkpoint.json"
-    if checkpoint is None:
+    if isinstance(checkpoint, dict):
         assert main(CHAIN + ["--out", str(tmp_path / "first")]) == 0
-        path = tmp_path / "first" / "checkpoint.json"
+        payload = json.loads((tmp_path / "first" / "checkpoint.json").read_text())
+        path.write_text(json.dumps({**payload, **checkpoint}))
     else:
         path.write_text(checkpoint)
     capsys.readouterr()
@@ -565,7 +576,15 @@ def test_coefficients_file_is_checked_before_the_run(tmp_path, capsys):
     # one coupling of the C(8, 4) = 70 an n = 8 file must hold
     malformed = tmp_path / "coefficients.csv"
     malformed.write_text("i1,i2,i3,i4,value\n0,1,2,7,0.5\n")
-    for n, path, reason in (("10", base / "coefficients.csv", "n=8"), ("8", malformed, "want C(8,4)")):
+    cases = [("10", base / "coefficients.csv", "n=8"), ("8", malformed, "want C(8,4)")]
+    # the first row edited: indices out of order, a negative index, a value that is no number
+    header, first, *rest = (base / "coefficients.csv").read_text().splitlines(keepends=True)
+    value = first.rsplit(",", 1)[1]
+    for name, row in (("swapped", f"1,0,2,3,{value}"), ("negative", f"-1,1,2,3,{value}"), ("nan", "0,1,2,3,nan\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join([header, row, *rest]))
+        cases.append(("8", path, f"bad row {row.strip().split(',')!r}"))
+    for n, path, reason in cases:
         capsys.readouterr()
         out = tmp_path / "run"
         argv = ["correlators", "--n", n, "--seed", "3", "--coefficients", str(path), "--out", str(out)]
@@ -575,7 +594,7 @@ def test_coefficients_file_is_checked_before_the_run(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_library_error_exit_code(tmp_path, capsys):
+def test_library_error_exit_code(tmp_path, capsys, monkeypatch):
     assert main(CHAIN + ["--out", str(tmp_path / "first")]) == 0
     checkpoint = tmp_path / "first" / "checkpoint.json"
     # the --resume check compares the run fields: a checkpoint of another seed is a usage error
@@ -585,10 +604,19 @@ def test_library_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error: --resume " in err and "checkpoint seed is 5" in err
     assert not out.exists()
-    # the chain reads the rest when it starts: a checkpoint without couplings is a library error
+    # the check restores the whole chain state: a checkpoint without couplings is a usage error too
     payload = json.loads(checkpoint.read_text())
     del payload["couplings"]
     stripped = tmp_path / "stripped.json"
     stripped.write_text(json.dumps(payload))
-    assert main(CHAIN + ["--resume", str(stripped), "--out", str(out)]) == 3
+    assert main(CHAIN + ["--resume", str(stripped), "--out", str(out)]) == 2
     assert "checkpoint has no 'couplings' field" in capsys.readouterr().err
+    assert not out.exists()
+    # a ValueError the library raises once the command runs is a numerical failure
+
+    def fail(*args, **kwargs):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(cli, "ks_distance", fail)
+    assert main(CHAIN + ["--out", str(out)]) == 3
+    assert "numerical failure: injected failure" in capsys.readouterr().err

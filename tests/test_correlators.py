@@ -16,7 +16,7 @@ from syklab.correlators import (
     two_point,
 )
 from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
-from syklab.pauli import majorana_matrix
+from syklab.pauli import majorana_matrix, parity_sector_indices
 from syklab.spectral import SectorSpectrum, diagonalize, sff
 
 
@@ -64,9 +64,9 @@ def full_energy_basis(spectra):
     dim = sum(len(sec.eigenvalues) for sec in spectra)
     u = np.zeros((dim, dim), dtype=np.complex128)
     col = 0
-    for sec in spectra:
+    for sec, indices in zip(spectra, parity_sector_indices(dim)):
         k = len(sec.eigenvalues)
-        u[sec.basis_indices, col:col + k] = sec.eigenvectors
+        u[indices, col:col + k] = sec.eigenvectors
         col += k
     return np.concatenate([sec.eigenvalues for sec in spectra]), u
 
@@ -99,12 +99,12 @@ def full_basis_otoc(spectra, a, b, beta, times):
 
 def test_sector_bases_diagonalize(h8, spectra):
     # U_i^dagger H[i, j] U_j is diag(E_i) on the diagonal blocks and zero off them
-    assert np.array_equal(np.sort(np.concatenate([s.basis_indices for s in spectra])), np.arange(DIM))
-    for row in spectra:
+    sectors = parity_sector_indices(DIM)
+    for row, rows in zip(spectra, sectors):
         u = row.eigenvectors
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(row.eigenvalues)))) < 1e-12
-        for col in spectra:
-            block = u.conj().T @ h8[np.ix_(row.basis_indices, col.basis_indices)] @ col.eigenvectors
+        for col, cols in zip(spectra, sectors):
+            block = u.conj().T @ h8[np.ix_(rows, cols)] @ col.eigenvectors
             want = np.diag(row.eigenvalues) if row is col else 0.0
             assert np.max(np.abs(block - want)) < 1e-10
 
@@ -124,8 +124,9 @@ def test_partition_function_matches_sff(spectra):
 def test_fermion_block_adjoint_is_the_odd_even_block(systems):
     # psi_i is Hermitian, so U_o^dagger psi_i[o, e] U_e is the adjoint of A_i
     for n, (_, (even, odd)) in systems.items():
+        e, o = parity_sector_indices(2 ** (n // 2))
         for i in range(n):
-            psi = majorana_matrix(i, n)[np.ix_(odd.basis_indices, even.basis_indices)]
+            psi = majorana_matrix(i, n)[np.ix_(o, e)]
             direct = odd.eigenvectors.conj().T @ psi @ even.eigenvectors
             assert np.max(np.abs(fermion_block((even, odd), i).conj().T - direct)) < 1e-13, (n, i)
 
@@ -314,7 +315,7 @@ def test_cyclic_moment_matches_brute_force(spectra):
 def test_gram_positive_semidefinite_property(seed, beta, t1, omega):
     rng = np.random.default_rng(seed)
     ev = np.sort(rng.normal(size=8))
-    sec = SectorSpectrum("even", ev, None, np.arange(8))
+    sec = SectorSpectrum(ev, None)
     g = tfd_gram((sec,), beta, t1, omega)
     assert np.allclose(np.diag(g), 1.0, atol=1e-12)
     assert np.linalg.eigvalsh(g).min() >= -1e-10

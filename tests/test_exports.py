@@ -74,7 +74,7 @@ def _coefficients():
 
 def _spectrum():
     spectra = diagonalize(build_hamiltonian(sample_couplings(PARAMS, 0)), need_vectors=False)
-    rows = [(s.sector, i, e) for s in spectra for i, e in enumerate(s.eigenvalues)]
+    rows = [(tag, i, e) for tag, s in zip(("even", "odd"), spectra) for i, e in enumerate(s.eigenvalues)]
     return spectrum_table(spectra), rows
 
 
@@ -98,7 +98,7 @@ def _gram():
 
 def _pool():
     pool = build_pool(PARAMS, members=3)
-    rows = [(tag, e) for tag in ("even", "odd") for e in pool.sector(tag)]
+    rows = [(tag, e) for tag, values in (("even", pool.even), ("odd", pool.odd)) for e in values]
     return pool_table(pool), rows
 
 

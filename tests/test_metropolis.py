@@ -301,7 +301,7 @@ def test_run_schedule_checkpoint_failure_reports_last_durable():
         if len(calls) == 2:
             raise OSError("disk full")
 
-    with pytest.raises(RuntimeError, match="step 100"):
+    with pytest.raises(OSError, match="step 100"):
         run_schedule(params, schedule, np.random.default_rng(4), flaky, checkpoint_every=100)
 
 

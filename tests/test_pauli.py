@@ -21,6 +21,7 @@ from syklab.pauli import (
     majorana_monomial,
     majorana_string,
     parity_sector_indices,
+    sector_block_positions,
     sector_split,
 )
 
@@ -190,6 +191,22 @@ def test_parity_sector_indices():
     assert list(odd) == [1, 2, 4, 7]
 
 
+def test_sector_block_positions_tile_the_matrix():
+    for dim in (2, 8, 32):
+        a = np.arange(dim * dim).reshape(dim, dim)
+        positions = sector_block_positions(dim)
+        sectors = parity_sector_indices(dim)
+        for r, rows in enumerate(sectors):
+            for c, cols in enumerate(sectors):
+                assert np.array_equal(a.take(positions[r][c]), a[np.ix_(rows, cols)])
+                b = np.zeros_like(a)
+                np.put(b, positions[r][c], a[np.ix_(rows, cols)])
+                assert np.array_equal(b[np.ix_(rows, cols)], a[np.ix_(rows, cols)])
+        every = np.concatenate([p.ravel() for row in positions for p in row])
+        assert np.array_equal(np.sort(every), np.arange(dim * dim))
+        assert not positions[0][1].flags.writeable
+
+
 def test_sector_split_on_even_operator():
     n = 8
     dim = 2 ** (n // 2)
@@ -197,8 +214,9 @@ def test_sector_split_on_even_operator():
     h = np.zeros((dim, dim), dtype=complex)
     for indices in itertools.combinations(range(n), 4):
         accumulate_string(h, hermitian_monomial(indices, n), float(rng.normal()))
-    ee, oo, (even, odd) = sector_split(h)
+    ee, oo = sector_split(h)
     assert ee.shape == (dim // 2, dim // 2)
+    even, odd = parity_sector_indices(dim)
     rebuilt = np.zeros_like(h)
     rebuilt[np.ix_(even, even)] = ee
     rebuilt[np.ix_(odd, odd)] = oo

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
-from syklab.pauli import sector_split
+from syklab.pauli import parity_sector_indices, sector_split
 from syklab.poissonize import (
     EigenvaluePool,
     build_pool,
@@ -25,8 +25,6 @@ def test_build_pool_shapes_and_order():
     assert np.all(np.diff(pool.even) >= 0.0)
     with pytest.raises(ValueError):
         build_pool(params, members=0)
-    with pytest.raises(ValueError):
-        pool.sector("middle")
 
 
 def test_poissonize_member_draws_from_the_shared_stream():
@@ -47,11 +45,12 @@ def test_poissonized_operator_structure():
     assert np.max(np.abs(hp - hp.conj().T)) < 1e-12
     sector_split(hp)
     # replaced levels are sorted pool values, placed rank to rank
-    for s, new in zip(pair.spectra, pair.poissonized_spectra):
+    sectors = parity_sector_indices(hp.shape[0])
+    for s, new, values, indices in zip(pair.spectra, pair.poissonized_spectra, (pool.even, pool.odd), sectors):
         d_prime = new.eigenvalues
         assert np.all(np.diff(d_prime) >= 0.0)
-        assert np.all(np.isin(d_prime, pool.sector(s.sector)))
-        block = hp[np.ix_(s.basis_indices, s.basis_indices)]
+        assert np.all(np.isin(d_prime, values))
+        block = hp[np.ix_(indices, indices)]
         back = s.eigenvectors.conj().T @ block @ s.eigenvectors
         assert np.allclose(np.diag(back).real, d_prime, atol=1e-10)
 
@@ -74,13 +73,10 @@ def test_eigenvectors_are_shared_with_target():
     pair = poissonize(h, pool, np.random.default_rng(2))
     # the pair carries the spectrum of H' = U D' U^dag: D' on the eigenbasis of H
     replay = np.random.default_rng(2)
-    for old, new in zip(pair.spectra, pair.poissonized_spectra):
-        values = pool.sector(old.sector)
+    for old, new, values in zip(pair.spectra, pair.poissonized_spectra, (pool.even, pool.odd)):
         d_prime = np.sort(values[replay.integers(0, values.size, size=old.eigenvalues.size)])
-        assert new.sector == old.sector
         assert np.array_equal(new.eigenvalues, d_prime)
         assert np.array_equal(new.eigenvectors, old.eigenvectors)
-        assert np.array_equal(new.basis_indices, old.basis_indices)
     rediagonalized = diagonalize(pair.poissonized)
     for fresh, new in zip(rediagonalized, pair.poissonized_spectra):
         assert np.max(np.abs(fresh.eigenvalues - new.eigenvalues)) < 1e-12
