@@ -4,18 +4,19 @@ Runs the Metropolis schedule and, at every stage boundary, reports how
 far the coupling vector has rotated away from the initial disorder draw
 (cosine and relative displacement), the gap ratio statistic, and the
 step size the adaptation has settled on. At the end it compares thermal
-two-point functions and the (1, 2) OTOC of the annealed couplings with
-the SYK ensemble, as acceptance criterion 7 does: the 64 members after
---member are each scored against the mean of the other 63, which
-calibrates how far "a different draw" reads on the same observables,
-and the annealed member is scored against the mean of all 64.
+two-point functions, the (1, 2) OTOC and the levels of the annealed
+couplings with the SYK ensemble through correlators.score_against_members,
+as acceptance criterion 7 does: the 64 members after --member are each
+scored against the other 63, which calibrates how far "a different
+draw" reads on the same observables, and the annealed member is scored
+against all 64.
 """
 
 import argparse
 
 import numpy as np
 
-from syklab.correlators import fermion_block, otoc, two_point
+from syklab.correlators import score_against_members
 from syklab.ensemble import EnsembleParams, CouplingTensor, build_hamiltonian, member_rng, sample_couplings
 from syklab.metropolis import Schedule, run_schedule
 from syklab.spectral import diagonalize, min_ratio_statistic, sector_ratios
@@ -37,19 +38,6 @@ def rotation(j0: np.ndarray, j: np.ndarray):
     return cos, rel
 
 
-def eigenbasis_series(beta, times, spectra, flavors) -> np.ndarray:
-    """Two-point series of each flavour, then the (1, 2) OTOC, one row each."""
-    psi = {i: fermion_block(spectra, i) for i in dict.fromkeys((*flavors, 1, 2))}
-    rows = [two_point(spectra, psi[i], beta, times).values for i in flavors]
-    rows.append(otoc(spectra, psi[1], psi[2], beta, times).values)
-    return np.array(rows)
-
-
-def worst_deviation(deviation: np.ndarray):
-    """Largest |deviation| over the two-point rows, and over the OTOC row."""
-    return float(np.max(deviation[:-1], initial=0.0)), float(np.max(deviation[-1]))
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=10)
@@ -66,28 +54,15 @@ def main():
     params = EnsembleParams(n=args.n, seed=args.seed)
     j0 = sample_couplings(params, args.member)
     s0 = diagonalize(build_hamiltonian(j0), need_vectors=False)
-    times = np.linspace(0.0, 10.0, args.t_points)
-    flavors = range(min(args.flavors, args.n))
 
-    members = range(args.member + 1, args.member + 1 + REFERENCE_MEMBERS)
-    series = np.array([
-        eigenbasis_series(
-            args.beta, times, diagonalize(build_hamiltonian(sample_couplings(params, m))), flavors
-        )
-        for m in members
-    ])
-    total = series.sum(axis=0)
-    loo = [worst_deviation(np.abs(x - (total - x) / (len(members) - 1))) for x in series]
-    base2, base_otoc = np.max(loo, axis=0)
-    print(f"SYK members {members[0]}-{members[-1]}, each against the other {len(members) - 1}: "
-          f"max worst2pt {base2:.3f} otoc {base_otoc:.3f}")
     print(f"initial statistic {min_ratio_statistic(sector_ratios(s0)):.4f}")
     print()
 
-    # capture the coupling vector at each stage boundary via the sink
+    # capture the coupling vector at each stage boundary via the sink; no
+    # checkpoint fires at step 0, where a first stage of 0 steps ends
     stages = parse_stages(args.stages)
     boundaries = np.cumsum([s for _, s in stages])
-    snapshots = {}
+    snapshots = {0: (j0.values, args.sigma0)}
 
     def sink(payload):
         if payload["global_step"] in boundaries:
@@ -117,13 +92,18 @@ def main():
         print(f"{k:>6} {beta_d:>7.2f} {cos:>10.3f} {rel:>9.3f} "
               f"{sigma:>10.2e} {min_ratio_statistic(sector_ratios(sk)):>10.4f}")
 
-    sf = diagonalize(build_hamiltonian(result.couplings))
-    dev2, dev_otoc = worst_deviation(
-        np.abs(eigenbasis_series(args.beta, times, sf, flavors) - total / len(members))
+    members = range(args.member + 1, args.member + 1 + REFERENCE_MEMBERS)
+    annealed, ref = score_against_members(
+        diagonalize(build_hamiltonian(result.couplings)),
+        [diagonalize(build_hamiltonian(sample_couplings(params, m))) for m in members],
+        args.beta, np.linspace(0.0, 10.0, args.t_points), range(min(args.flavors, args.n)),
     )
     print()
-    print(f"annealed vs the {len(members)}-member mean: worst2pt {dev2:.3f} otoc {dev_otoc:.3f} "
-          f"(members' max {base2:.3f} / {base_otoc:.3f})")
+    print(f"SYK members {members[0]}-{members[-1]}, each against the other {len(members) - 1}: "
+          f"max worst2pt {ref.two_point.max():.3f} otoc {ref.otoc.max():.3f} ks {ref.ks.max():.3f}")
+    print(f"annealed vs the {len(members)}-member mean: worst2pt {annealed.two_point:.3f} "
+          f"otoc {annealed.otoc:.3f} ks {annealed.ks:.3f} (members' max {ref.two_point.max():.3f} / "
+          f"{ref.otoc.max():.3f} / {ref.ks.max():.3f})")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,13 @@ repulsion-free spectra while tracking correlators.
 
 from .correlators import (
     CorrelatorSeries,
+    EnsembleScore,
     compare_series,
     cyclic_moment,
     fermion_block,
     gram_rank,
     otoc,
+    score_against_members,
     tfd_gram,
     two_point,
 )

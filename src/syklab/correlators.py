@@ -14,13 +14,20 @@ a dense matrix exponential nor a full dim x dim eigenbasis is ever formed.
 Thermal weights are computed with the spectrum shifted by its minimum over
 both sectors, which keeps e^{-beta E} finite for any beta and makes every
 correlator exactly invariant under a global energy shift.
+
+score_against_members scores a Hamiltonian, and each of an ensemble's
+members leave-one-out, against the ensemble on these series and its levels.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import majorana_matrix, sector_block_positions
+from .spectral import combined_eigenvalues, ks_distance, min_ratio_statistic, sector_ratios
+
+OTOC_PAIR = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,65 @@ def compare_series(x: CorrelatorSeries, y: CorrelatorSeries) -> float:
     if x.times.shape != y.times.shape or not np.array_equal(x.times, y.times):
         raise ValueError("series grids differ")
     return float(np.max(np.abs(x.values - y.values)))
+
+
+class EnsembleScore(NamedTuple):
+    """One spectrum's legs against a reference ensemble, or arrays of one entry per member.
+
+    ratio is the min gap-ratio statistic and bandwidth the spectrum's width;
+    ks is the KS distance to the reference's pooled levels, and two_point and
+    otoc the largest |deviation| from its mean series (over all flavours).
+    """
+
+    ratio: float
+    ks: float
+    two_point: float
+    otoc: float
+    bandwidth: float
+
+
+def _series(spectra, beta: float, times, flavors) -> np.ndarray:
+    """Two-point series of each flavour, then the OTOC_PAIR OTOC, one row each."""
+    psi = {i: fermion_block(spectra, i) for i in dict.fromkeys((*flavors, *OTOC_PAIR))}
+    rows = [two_point(spectra, psi[i], beta, times).values for i in flavors]
+    rows.append(otoc(spectra, *(psi[i] for i in OTOC_PAIR), beta, times).values)
+    return np.array(rows)
+
+
+def _score(spectra, series: np.ndarray, mean: np.ndarray, pooled: np.ndarray) -> EnsembleScore:
+    levels = combined_eigenvalues(spectra)
+    deviation = np.abs(series - mean)
+    return EnsembleScore(
+        ratio=min_ratio_statistic(sector_ratios(spectra)),
+        ks=ks_distance(levels, pooled),
+        two_point=float(deviation[:-1].max(initial=0.0)),
+        otoc=float(deviation[-1].max()),
+        bandwidth=float(levels[-1] - levels[0]),
+    )
+
+
+def score_against_members(spectra, members, beta: float, times, flavors) -> tuple:
+    """(scored, reference) EnsembleScores of a Hamiltonian's sector spectra and of members.
+
+    members are sector spectra with eigenvectors, all of one size.  scored
+    compares spectra with the mean series and pooled levels of all members;
+    reference holds, as arrays in member order, each member compared with
+    the others.  The series are the two-point function of each fermion in
+    flavors and the OTOC_PAIR OTOC, at inverse temperature beta on times.
+    """
+    flavors = tuple(flavors)
+    count = len(members)
+    if count < 2:
+        raise ValueError("leave-one-out scoring needs at least 2 members")
+    series = np.array([_series(m, beta, times, flavors) for m in members])
+    levels = np.array([combined_eigenvalues(m) for m in members])
+    total = series.sum(axis=0)
+    reference = [
+        _score(m, series[k], (total - series[k]) / (count - 1), np.delete(levels, k, axis=0).ravel())
+        for k, m in enumerate(members)
+    ]
+    scored = _score(spectra, _series(spectra, beta, times, flavors), total / count, levels.ravel())
+    return scored, EnsembleScore(*map(np.array, zip(*reference)))
 
 
 def tfd_gram(spectra, beta: float, t1: float, omega: int) -> np.ndarray:

@@ -12,6 +12,7 @@ dies part-way leaves the previous file intact.
 import hashlib
 import json
 import os
+from contextlib import suppress
 from itertools import combinations
 from math import comb, isfinite
 
@@ -24,16 +25,21 @@ from .poissonize import EigenvaluePool
 
 
 def _replace(path, write) -> None:
-    """Let write(f) fill a temporary file, sync it and rename it over path."""
+    """Let write(f) fill a temporary file, sync it and rename it over path.
+
+    A stale temporary file is overwritten.  If opening it fails, nothing is
+    cleaned up, since whatever sits at that name is not this write's.
+    """
     tmp = f"{path}.tmp"
+    f = open(tmp, "w")
     try:
-        with open(tmp, "w") as f:
+        with f:
             write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with suppress(OSError):
             os.remove(tmp)
         raise
 
@@ -84,7 +90,8 @@ def read_coefficients(path) -> CouplingTensor:
     """Rows may come in any order; n is inferred from the index range.
 
     Each row holds four strictly ascending nonnegative indices and a finite
-    value; a ValueError names the first row that does not.
+    value, and names a subset no other row names; a ValueError names the
+    first row that does not.
     """
     rows = read_table(path, "i1,i2,i3,i4,value")
     if not rows:
@@ -99,6 +106,8 @@ def read_coefficients(path) -> CouplingTensor:
             raise ValueError(
                 f"{path}: bad row {row!r}: want strictly ascending nonnegative indices and a finite value"
             )
+        if subset in entries:
+            raise ValueError(f"{path}: bad row {row!r}: repeats the subset {subset}")
         entries[subset] = value
         top = max(top, subset[3])
     n = top + 1
@@ -226,7 +235,7 @@ def write_manifest(path, params: dict, file_paths) -> None:
 
 
 def read_config(path) -> dict[str, str]:
-    """key=value lines; blank lines and # comments are skipped."""
+    """key=value lines, each key once; blank lines and # comments are skipped."""
     out = {}
     with open(path) as f:
         for line_no, raw in enumerate(f, 1):
@@ -236,7 +245,10 @@ def read_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{line_no}: key {key!r} is set more than once")
+            out[key] = value.strip()
     return out
 
 

@@ -19,9 +19,9 @@ from math import comb
 import numpy as np
 import pytest
 from fractions import Fraction
-from scipy.stats import ks_2samp
 
-from syklab.correlators import compare_series, cyclic_moment, fermion_block, gram_rank, otoc, tfd_gram, two_point
+from syklab.correlators import compare_series, cyclic_moment, fermion_block, gram_rank, otoc, tfd_gram
+from syklab.correlators import score_against_members
 from syklab.decompose import (
     majorana_coefficients,
     nonlocal_fraction,
@@ -32,7 +32,6 @@ from syklab.ensemble import (
     build_hamiltonian,
     member_rng,
     sample_couplings,
-    trace_h_squared,
 )
 from syklab.cli import main as cli_main
 from syklab.metropolis import Schedule, run_schedule
@@ -42,22 +41,14 @@ from syklab.spectral import (
     MeanDensity,
     combined_eigenvalues,
     diagonalize,
-    gap_ratios,
     min_ratio_statistic,
     poisson_moment,
     reference_ratio_statistic,
+    sector_ratios,
     sff,
     sff_long_time_average,
     sff_poisson_average,
 )
-
-
-def sector_ratio_pool(spectra_or_levels) -> np.ndarray:
-    chunks = []
-    for x in spectra_or_levels:
-        levels = getattr(x, "eigenvalues", x)
-        chunks.append(gap_ratios(levels).ratios)
-    return np.concatenate(chunks)
 
 
 def all_subsets(n: int, max_size: int) -> list:
@@ -130,10 +121,10 @@ def test_criterion_03_gap_ratio_reproduction(pool128_n14):
     for m in range(64):
         h = build_hamiltonian(sample_couplings(params, m))
         pair = poissonize(h, pool, member_rng(43, m))
-        orig.append(sector_ratio_pool(pair.spectra))
-        poiss.append(sector_ratio_pool(pair.poissonized_spectra))
+        orig.append(sector_ratios(pair.spectra))
+        poiss.append(sector_ratios(pair.poissonized_spectra))
         local = truncate_local(majorana_coefficients(pair.poissonized, 14), k=4)
-        reloc.append(sector_ratio_pool(diagonalize(local, need_vectors=False)))
+        reloc.append(sector_ratios(diagonalize(local, need_vectors=False)))
     stat_orig = min_ratio_statistic(np.concatenate(orig))
     stat_poiss = min_ratio_statistic(np.concatenate(poiss))
     stat_reloc = min_ratio_statistic(np.concatenate(reloc))
@@ -234,62 +225,35 @@ def test_criterion_06_nonlocal_fraction_trend():
         assert 0.25 <= r <= 1.0
 
 
-def eigenbasis_series(spectra, times) -> np.ndarray:
-    """Two-point series of the ten n=10 flavours plus the (1, 2) OTOC, beta = 1."""
-    psi = [fermion_block(spectra, i) for i in range(10)]
-    rows = [two_point(spectra, block, 1.0, times).values for block in psi]
-    rows.append(otoc(spectra, psi[1], psi[2], 1.0, times).values)
-    return np.array(rows)
-
-
 def test_criterion_07_metropolis_end_to_end():
     params = EnsembleParams(n=10, seed=42)
     result = run_schedule(params, Schedule(), member_rng(42, 10 ** 6))
-    s1 = diagonalize(build_hamiltonian(result.couplings))
-    times = np.linspace(0.0, 10.0, 256)
 
     # The chain's stationary law does not depend on its start (cos(J0, Jf) is
     # about 0), so the annealed member is compared with the SYK ensemble, not
     # with member 0. Members 1-64 are scored leave-one-out against the other
     # 63; the annealed member against all 64, and it must be no further out
-    # than the furthest member.
+    # than the furthest member. The series are the ten flavours' two-point
+    # functions and the (1, 2) OTOC at beta = 1.
     members = [diagonalize(build_hamiltonian(sample_couplings(params, m))) for m in range(1, 65)]
-    count = len(members)
-    series = np.array([eigenbasis_series(s, times) for s in members])
-    levels = np.array([combined_eigenvalues(s) for s in members])
-    total = series.sum(axis=0)
-    loo = np.abs(series - (total - series) / (count - 1))
-    member_two = loo[:, :10].max(axis=(1, 2))
-    member_otoc = loo[:, 10].max(axis=1)
-    member_ks = np.array([
-        ks_2samp(levels[m], np.delete(levels, m, axis=0).ravel()).statistic
-        for m in range(count)
-    ])
-
-    annealed = np.abs(eigenbasis_series(s1, times) - total / count)
-    worst2 = float(annealed[:10].max())
-    otoc_dev = float(annealed[10].max())
-    e1 = combined_eigenvalues(s1)
-    ks = float(ks_2samp(e1, levels.ravel()).statistic)
-    stat = min_ratio_statistic(sector_ratio_pool(s1))
-    drift = abs(trace_h_squared(result.couplings) - result.target_trace) / result.target_trace
+    s1 = diagonalize(build_hamiltonian(result.couplings))
+    annealed, ref = score_against_members(s1, members, 1.0, np.linspace(0.0, 10.0, 256), range(10))
 
     legs = [
-        ("final ratio statistic", stat, 0.45),
-        ("ks distance to the SYK level pool", ks, float(member_ks.max())),
-        ("two-point deviation from the SYK mean", worst2, float(member_two.max())),
-        ("otoc deviation from the SYK mean", otoc_dev, float(member_otoc.max())),
-        ("trace drift", drift, 1e-8),
+        ("final ratio statistic", annealed.ratio, 0.45),
+        ("ks distance to the SYK level pool", annealed.ks, float(ref.ks.max())),
+        ("two-point deviation from the SYK mean", annealed.two_point, float(ref.two_point.max())),
+        ("otoc deviation from the SYK mean", annealed.otoc, float(ref.otoc.max())),
+        ("trace drift", result.trace_drift, 1e-8),
     ]
     report = "; ".join(f"{name} {value:.4g} (bound {bound:.4g})" for name, value, bound in legs)
     print(report)
-    print(f"percentile among members: two-point {np.mean(member_two < worst2):.0%}, "
-          f"otoc {np.mean(member_otoc < otoc_dev):.0%}, ks {np.mean(member_ks < ks):.0%}")
-    widths = levels[:, -1] - levels[:, 0]
+    print(f"percentile among members: two-point {np.mean(ref.two_point < annealed.two_point):.0%}, "
+          f"otoc {np.mean(ref.otoc < annealed.otoc):.0%}, ks {np.mean(ref.ks < annealed.ks):.0%}")
     failing = [name for name, value, bound in legs if not value <= bound]
     assert not failing, (
         f"failing legs {failing}: {report}. The annealed bandwidth is "
-        f"{e1[-1] - e1[0]:.3f} against {widths.min():.3f}-{widths.max():.3f} for "
+        f"{annealed.bandwidth:.3f} against {ref.bandwidth.min():.3f}-{ref.bandwidth.max():.3f} for "
         f"the members: clustering widens the band, and the chain fixes only "
         f"tr(H^2), not the mean density, so the KS leg reads band widening, not "
         f"decorrelation. Whether annealing must keep SYK's mean density is not "

@@ -87,6 +87,15 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, command, l
     assert not out.exists()
 
 
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=8\nn=10\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"usage error: {cfg}:2: key 'n' is set more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # one tiny run per subcommand, moving most options off their defaults
 ROUND_TRIP = {
     "sample": ["--j-scale", "0.5", "--seed", "3", "--member", "2"],
@@ -584,6 +593,10 @@ def test_coefficients_file_is_checked_before_the_run(tmp_path, capsys):
         path = tmp_path / f"{name}.csv"
         path.write_text("".join([header, row, *rest]))
         cases.append(("8", path, f"bad row {row.strip().split(',')!r}"))
+    # a second row for a subset the file already holds
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("".join([header, first, *rest, "0,1,2,3,99.0\n"]))
+    cases.append(("8", repeated, "repeats the subset (0, 1, 2, 3)"))
     for n, path, reason in cases:
         capsys.readouterr()
         out = tmp_path / "run"

@@ -12,6 +12,7 @@ from syklab.correlators import (
     fermion_block,
     gram_rank,
     otoc,
+    score_against_members,
     tfd_gram,
     two_point,
 )
@@ -255,6 +256,23 @@ def test_compare_series_grid_mismatch():
     y = CorrelatorSeries(1.0, np.linspace(0, 5, 9), np.zeros(9))
     with pytest.raises(ValueError):
         compare_series(x, y)
+
+
+def test_a_member_scored_against_the_others_reads_its_leave_one_out_values():
+    params = EnsembleParams(n=N, seed=7)
+    members = [diagonalize(build_hamiltonian(sample_couplings(params, m))) for m in range(8)]
+    times = np.linspace(0.0, 4.0, 12)
+    scored, ref = score_against_members(members[0], members, 1.0, times, range(3))
+    assert ref.two_point.shape == ref.ks.shape == (8,)
+    for k in (0, 5):
+        alone, _ = score_against_members(members[k], members[:k] + members[k + 1:], 1.0, times, range(3))
+        for leg in ("ratio", "ks", "two_point", "otoc", "bandwidth"):
+            assert getattr(alone, leg) == pytest.approx(getattr(ref, leg)[k], rel=0, abs=1e-12), leg
+    # x - (x + 7 m) / 8 = 7/8 (x - m): against all eight, member 0 reads 7/8 of its leave-one-out value
+    assert scored.two_point == pytest.approx(7 / 8 * ref.two_point[0], rel=1e-12)
+    assert scored.otoc == pytest.approx(7 / 8 * ref.otoc[0], rel=1e-12)
+    with pytest.raises(ValueError, match="at least 2 members"):
+        score_against_members(members[0], members[:1], 1.0, times, range(3))
 
 
 def test_gram_entries_match_partition_function(spectra):

@@ -177,6 +177,23 @@ def test_a_failed_table_write_keeps_the_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["stats.csv"]
 
 
+def test_an_atomic_write_cleans_up_only_its_own_temporary_file(tmp_path):
+    path = tmp_path / "x.json"
+    # a stale temporary file, left by a killed run, is overwritten
+    (tmp_path / "x.json.tmp").write_text("stale")
+    write_checkpoint(path, {"step": 1})
+    assert json.loads(path.read_text()) == {"step": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+    # a directory in its place makes open fail: that error alone reaches the caller
+    path.unlink()
+    (tmp_path / "x.json.tmp").mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        write_checkpoint(path, {"step": 2})
+    assert err.value.__context__ is None
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json.tmp"]
+    assert (tmp_path / "x.json.tmp").is_dir()
+
+
 def test_checkpoint_file_round_trip_preserves_replay(tmp_path):
     params = EnsembleParams(n=8, seed=17)
     schedule = Schedule(stages=((0.5, 200), (1.0, 200)))

@@ -15,7 +15,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # script -> (arguments, the start of one line it prints)
 RUNS = {
-    "chain_diagnostics.py": (["--n", "8", "--stages", "0.5:400", "--t-points", "32", "--flavors", "2"],
+    "chain_diagnostics.py": (["--n", "8", "--stages", "0.5:0,0.5:400", "--t-points", "32", "--flavors", "2"],
                              "annealed vs the 64-member mean:"),
     "locality_trend_study.py": (["--sizes", "8,10", "--samples", "2", "--pool-members", "4"],
                                 "   n      nonlocal fraction"),
