@@ -151,10 +151,9 @@ def _resume(text: str, s: dict, large: bool) -> dict | None:
     if not text:
         return None
     payload = read_checkpoint(text)
-    schedule = Schedule(stages=_stages(s["stages"], s, large), window=s["window"])
+    schedule = Schedule(_stages(s["stages"], s, large), s["window"], s["per_sector"])
     params = EnsembleParams(n=s["n"], j_scale=s["j_scale"], seed=s["seed"])
-    rng = member_rng(s["seed"], s["chain_stream"])
-    restore_chain(payload, params, schedule, s["member"], s["per_sector"], rng)
+    restore_chain(payload, params, schedule, s["member"], member_rng(s["seed"], s["chain_stream"]))
     return payload
 
 
@@ -366,15 +365,15 @@ def cmd_decompose(s: dict, params: EnsembleParams, out: str) -> dict:
 
 
 def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
-    schedule = Schedule(stages=s["stages"], window=s["window"])
+    schedule = Schedule(s["stages"], s["window"], s["per_sector"])
     # the one file written while the command runs: it must outlive a failed chain
     checkpoint_path = os.path.join(out, "checkpoint.json")
+    written = []  # one entry per checkpoint this run wrote; an earlier run's file is not listed
 
     result = run_schedule(
         params, schedule, member_rng(s["seed"], s["chain_stream"]),
-        checkpoint_sink=lambda payload: write_checkpoint(checkpoint_path, payload),
-        member=s["member"], sigma0=s["sigma0"], per_sector=s["per_sector"],
-        checkpoint_every=s["checkpoint_every"], resume=s["resume"],
+        checkpoint_sink=lambda payload: written.append(write_checkpoint(checkpoint_path, payload)),
+        member=s["member"], sigma0=s["sigma0"], checkpoint_every=s["checkpoint_every"], resume=s["resume"],
     )
 
     initial = sample_couplings(params, member=s["member"])
@@ -398,7 +397,7 @@ def cmd_metropolis(s: dict, params: EnsembleParams, out: str) -> dict:
         "spectrum_final.csv": spectrum_table(s1),
         "stats.csv": stats_table(rows),
     }
-    if os.path.exists(checkpoint_path):
+    if written:
         tables["checkpoint.json"] = None
     return tables
 

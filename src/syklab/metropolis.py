@@ -12,8 +12,10 @@ uniform (step length), C(N,4) integers (direction), and one uniform
 automatic accept, so stream positions never depend on outcomes.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,22 +47,21 @@ TRACE_DRIFT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Schedule:
-    """Annealing stages and the steps per step-size adaptation window."""
+    """The chain: annealing stages, steps per step-size window, objective variant."""
 
     stages: tuple = ((0.5, 20000), (1.0, 20000), (1.5, 20000), (2.0, 20000))
     window: int = 100
+    per_sector: bool = False
 
 
 @dataclass(frozen=True)
 class ChainState:
-    """Chain snapshot; accept_count/step_count live within one window."""
+    """Chain snapshot; accept_count counts within the current window."""
 
     couplings: CouplingTensor
     objective: float
     sigma: float
     accept_count: int
-    step_count: int
-    stage: float
     rng: np.random.Generator
 
 
@@ -161,34 +162,38 @@ def acceptance_probability(delta_f: float) -> float:
     return float(np.exp(min(delta_f, 0.0)))
 
 
-def metropolis_step(state: ChainState, target_trace: float, per_sector: bool = False) -> ChainState:
+def metropolis_step(state: ChainState, target_trace: float, beta_d: float, per_sector: bool) -> ChainState:
     """One propose/rescale/accept update; always consumes one acceptance draw."""
     candidate = rescale_to_trace(propose(state.couplings, state.sigma, state.rng), target_trace)
-    f_new = objective(build_hamiltonian(candidate), state.stage, per_sector)
-    u = state.rng.random()
-    accepted = u < acceptance_probability(f_new - state.objective)
-    return replace(
-        state,
-        couplings=candidate if accepted else state.couplings,
-        objective=f_new if accepted else state.objective,
-        accept_count=state.accept_count + int(accepted),
-        step_count=state.step_count + 1,
-    )
+    f_new = objective(build_hamiltonian(candidate), beta_d, per_sector)
+    if not state.rng.random() < acceptance_probability(f_new - state.objective):
+        return state
+    return ChainState(candidate, f_new, state.sigma, state.accept_count + 1, state.rng)
 
 
-def adapt_sigma(state: ChainState, schedule: Schedule = Schedule()) -> ChainState:
-    """Window-boundary step-size update; resets the window counters."""
-    if state.step_count == 0 or state.step_count % schedule.window != 0:
-        raise ValueError(f"adapt_sigma needs a full window, got {state.step_count} steps")
+def adapt_sigma(state: ChainState) -> ChainState:
+    """Window-end step-size update; resets the window's accept count."""
     sigma = state.sigma
     if state.accept_count > RAISE_ACCEPTS:
         sigma *= SIGMA_FACTOR
     elif state.accept_count < LOWER_ACCEPTS:
         sigma /= SIGMA_FACTOR
-    return replace(state, sigma=sigma, accept_count=0, step_count=0)
+    return replace(state, sigma=sigma, accept_count=0)
 
 
-def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sector: bool) -> dict:
+def _position(schedule: Schedule, global_step: int) -> tuple:
+    """(stage_index, stage_step, window_step) of the chain after global_step steps.
+
+    A step belongs to the stage that took it: a stage's last step stays in
+    that stage, a 0-step stage takes none, and step 0 is stage 0, step 0.
+    """
+    ends = list(accumulate(int(steps) for _, steps in schedule.stages))
+    stage_index = bisect_left(ends, global_step)
+    stage_step = global_step - (ends[stage_index - 1] if stage_index else 0)
+    return stage_index, stage_step, global_step % schedule.window
+
+
+def _run_fields(params: EnsembleParams, schedule: Schedule, member: int) -> dict:
     """The checkpoint fields that name a run; a resume must match every one."""
     return {
         "version": 2,
@@ -198,7 +203,7 @@ def _run_fields(params: EnsembleParams, schedule: Schedule, member: int, per_sec
         "member": member,
         "stages": [[float(b), int(s)] for b, s in schedule.stages],
         "window": schedule.window,
-        "per_sector": per_sector,
+        "per_sector": schedule.per_sector,
     }
 
 
@@ -230,19 +235,20 @@ def _positive(value) -> float:
 
 
 def restore_chain(payload: dict, params: EnsembleParams, schedule: Schedule, member: int,
-                  per_sector: bool, rng: np.random.Generator):
+                  rng: np.random.Generator):
     """The chain state a checkpoint payload records, with rng set to its generator state.
 
-    Returns (state, target_trace, global_step, stage_index, stage_step).
+    Returns (state, target_trace, global_step).
 
     Raises
     ------
     ValueError
         Naming the field, if payload lacks a field, was recorded with another
         version, n, seed, j_scale, member, stage list, window or per_sector,
-        or holds a value that no step of this run can have.
+        holds a value that no step of this run can have, or records a
+        stage_index, stage_step or window_step other than its global_step's.
     """
-    for key, want in _run_fields(params, schedule, member, per_sector).items():
+    for key, want in _run_fields(params, schedule, member).items():
         if key not in payload:
             raise ValueError(f"checkpoint has no {key!r} field")
         if payload[key] != want:
@@ -261,45 +267,35 @@ def restore_chain(payload: dict, params: EnsembleParams, schedule: Schedule, mem
         objective=field("objective", _real),
         sigma=field("sigma", _positive),
         accept_count=field("accept_count", _count),
-        step_count=field("window_step", _count),
-        stage=0.0,
         rng=rng,
     )
-    if not state.accept_count <= state.step_count < schedule.window:
-        raise ValueError(f"checkpoint accept_count {state.accept_count} and window_step "
-                         f"{state.step_count} do not fit a window of {schedule.window} steps")
-    global_step, stage_index, stage_step = (
-        field(key, _count) for key in ("global_step", "stage_index", "stage_step")
-    )
-    steps = [int(s) for _, s in schedule.stages] + [0]  # a chain of no stages rests at stage 0, step 0
-    if (stage_index >= len(steps) or stage_step > steps[stage_index]
-            or global_step != sum(steps[:stage_index]) + stage_step):
-        raise ValueError(f"checkpoint global_step {global_step}, stage_index {stage_index} and "
-                         f"stage_step {stage_step} name no step of these stages")
+    global_step = field("global_step", _count)
+    total = sum(int(steps) for _, steps in schedule.stages)
+    if global_step > total:
+        raise ValueError(f"checkpoint global_step {global_step} is past the {total} steps of these stages")
+    position = _position(schedule, global_step)
+    for key, want in zip(("stage_index", "stage_step", "window_step"), position):
+        if field(key, _count) != want:
+            raise ValueError(f"checkpoint {key} is {payload[key]!r}, but global_step {global_step} "
+                             f"puts it at {want}")
+    if state.accept_count > position[2]:
+        raise ValueError(f"checkpoint accept_count {state.accept_count} exceeds window_step {position[2]}")
     field("rng_state", lambda v: setattr(rng.bit_generator, "state", v))
-    return state, field("target_trace", _positive), global_step, stage_index, stage_step
+    return state, field("target_trace", _positive), global_step
 
 
-def checkpoint_payload(
-    params: EnsembleParams,
-    schedule: Schedule,
-    state: ChainState,
-    member: int,
-    per_sector: bool,
-    target_trace: float,
-    global_step: int,
-    stage_index: int,
-    stage_step: int,
-) -> dict:
+def checkpoint_payload(params: EnsembleParams, schedule: Schedule, state: ChainState, member: int,
+                       target_trace: float, global_step: int) -> dict:
     """Self-describing JSON-ready snapshot sufficient for bit-exact resume."""
+    stage_index, stage_step, window_step = _position(schedule, global_step)
     return {
-        **_run_fields(params, schedule, member, per_sector),
+        **_run_fields(params, schedule, member),
         "global_step": global_step,
         "stage_index": stage_index,
         "stage_step": stage_step,
         "sigma": state.sigma,
         "accept_count": state.accept_count,
-        "window_step": state.step_count,
+        "window_step": window_step,
         "objective": state.objective,
         "target_trace": target_trace,
         "couplings": state.couplings.values.tolist(),
@@ -315,7 +311,6 @@ def run_schedule(
     *,
     member: int = 0,
     sigma0: float = 0.001,
-    per_sector: bool = False,
     checkpoint_every: int = 1000,
     resume: dict | None = None,
 ) -> MetropolisResult:
@@ -342,48 +337,39 @@ def run_schedule(
     if fresh:
         # a fresh chain is a resume from its step-0 checkpoint
         couplings = sample_couplings(params, member)
-        start = ChainState(couplings=couplings, objective=0.0, sigma=sigma0, accept_count=0,
-                           step_count=0, stage=0.0, rng=rng)
-        resume = checkpoint_payload(
-            params, schedule, start, member, per_sector, trace_h_squared(couplings), 0, 0, 0
-        )
+        start = ChainState(couplings=couplings, objective=0.0, sigma=sigma0, accept_count=0, rng=rng)
+        resume = checkpoint_payload(params, schedule, start, member, trace_h_squared(couplings), 0)
 
-    state, target, global_step, start_stage, start_stage_step = restore_chain(
-        resume, params, schedule, member, per_sector, rng
-    )
+    state, target, global_step = restore_chain(resume, params, schedule, member, rng)
 
     trajectory = []
     last_durable = None if fresh else global_step
-    for stage_index in range(start_stage, len(schedule.stages)):
-        beta_d, steps = schedule.stages[stage_index]
-        state = replace(state, stage=float(beta_d))
-        first = start_stage_step if stage_index == start_stage else 0
-        if first == 0:
-            # entering a stage re-evaluates f at the new beta_D; a mid-stage
-            # resume restores the stored value instead, keeping bit parity
+    stage_end = 0
+    for beta_d, steps in schedule.stages:
+        beta_d = float(beta_d)
+        if global_step == stage_end:
+            # a chain entering the stage re-evaluates f at the new beta_D; a
+            # resume inside it restores the stored value instead, keeping bit parity
             state = replace(
-                state,
-                objective=objective(build_hamiltonian(state.couplings), float(beta_d), per_sector),
+                state, objective=objective(build_hamiltonian(state.couplings), beta_d, schedule.per_sector)
             )
-        for stage_step in range(first, int(steps)):
-            state = metropolis_step(state, target, per_sector)
+        stage_end += int(steps)
+        while global_step < stage_end:
+            state = metropolis_step(state, target, beta_d, schedule.per_sector)
             global_step += 1
-            if state.step_count == schedule.window:
+            if global_step % schedule.window == 0:
                 trajectory.append(
                     TrajectoryRow(
                         step=global_step,
-                        beta_d=float(beta_d),
+                        beta_d=beta_d,
                         objective=state.objective,
                         sigma=state.sigma,
                         accept_rate=state.accept_count / schedule.window,
                     )
                 )
-                state = adapt_sigma(state, schedule)
+                state = adapt_sigma(state)
             if checkpoint_sink is not None and global_step % checkpoint_every == 0:
-                payload = checkpoint_payload(
-                    params, schedule, state, member, per_sector, target,
-                    global_step, stage_index, stage_step + 1,
-                )
+                payload = checkpoint_payload(params, schedule, state, member, target, global_step)
                 try:
                     checkpoint_sink(payload)
                 except OSError as exc:

@@ -430,6 +430,18 @@ CHAIN = ["metropolis", "--n", "8", "--seed", "5", "--stages", "0.5:250",
          "--window", "50", "--checkpoint-every", "100"]
 
 
+def test_the_manifest_lists_only_a_checkpoint_this_run_wrote(tmp_path):
+    out = tmp_path / "run"
+    argv = ["metropolis", "--n", "8", "--stages", "0.5:200", "--window", "50", "--out", str(out)]
+    assert main(argv + ["--seed", "42", "--checkpoint-every", "100"]) == 0
+    stale = (out / "checkpoint.json").read_bytes()
+    assert "checkpoint.json" in json.loads((out / "manifest.json").read_text())["files"]
+    # a rerun that checkpoints no step leaves the earlier chain's file, unlisted
+    assert main(argv + ["--seed", "7", "--checkpoint-every", "1000"]) == 0
+    assert "checkpoint.json" not in json.loads((out / "manifest.json").read_text())["files"]
+    assert (out / "checkpoint.json").read_bytes() == stale
+
+
 # a child chain that dies by SIGKILL right after its second checkpoint is durable
 KILL_AFTER_SECOND_CHECKPOINT = """
 import os, signal, sys
@@ -488,8 +500,11 @@ def test_a_chain_killed_after_a_checkpoint_resumes_bit_exactly(tmp_path):
     ({"accept_count": [1]}, [], "checkpoint accept_count is [1]"),
     ({"couplings": [0.1, 0.2]}, [], "checkpoint couplings is [0.1, 0.2]"),
     ({"sigma": "x"}, [], "checkpoint sigma is 'x'"),
+    # the step-200 checkpoint is at window_step 0 of stage 0
+    ({"window_step": 25}, [], "checkpoint window_step is 25"),
+    ({"stage_index": 1}, [], "checkpoint stage_index is 1"),
 ], ids=["empty", "older-version", "truncated", "not-an-object", "other-run", "longer-stages", "per-sector", "window",
-        "rng-state", "global-step", "accept-count", "couplings", "sigma"])
+        "rng-state", "global-step", "accept-count", "couplings", "sigma", "window-step", "stage-index"])
 def test_metropolis_resume_rejects_a_bad_checkpoint(tmp_path, capsys, checkpoint, flags, named):
     path = tmp_path / "checkpoint.json"
     if isinstance(checkpoint, dict):

@@ -114,10 +114,10 @@ def test_objective_diagonalizes_sector_blocks_only(monkeypatch, n, shapes):
 @pytest.mark.parametrize("per_sector", [False, True])
 def test_chain_matches_full_spectrum_oracle(monkeypatch, per_sector):
     params = EnsembleParams(n=10, seed=42)
-    schedule = Schedule(stages=((0.5, 1000), (1.0, 1000)))
-    fast = run_schedule(params, schedule, member_rng(42, 10 ** 6), per_sector=per_sector)
+    schedule = Schedule(stages=((0.5, 1000), (1.0, 1000)), per_sector=per_sector)
+    fast = run_schedule(params, schedule, member_rng(42, 10 ** 6))
     monkeypatch.setattr(metropolis, "objective", full_spectrum_objective)
-    slow = run_schedule(params, schedule, member_rng(42, 10 ** 6), per_sector=per_sector)
+    slow = run_schedule(params, schedule, member_rng(42, 10 ** 6))
     assert np.array_equal(fast.couplings.values, slow.couplings.values)
     assert [(r.step, r.sigma, r.accept_rate) for r in fast.trajectory] == [
         (r.step, r.sigma, r.accept_rate) for r in slow.trajectory
@@ -208,26 +208,21 @@ def test_two_level_toy_stationary_distribution():
     assert stat < 0.02
 
 
-def _dummy_state(accepts, steps, sigma=1.0):
+def _dummy_state(accepts, sigma=1.0):
     couplings = sample_couplings(EnsembleParams(n=6, seed=0), member=0)
     return ChainState(
         couplings=couplings, objective=0.0, sigma=sigma,
-        accept_count=accepts, step_count=steps, stage=0.5,
-        rng=np.random.default_rng(0),
+        accept_count=accepts, rng=np.random.default_rng(0),
     )
 
 
 def test_adapt_sigma_rules():
-    assert adapt_sigma(_dummy_state(60, 100)).sigma == pytest.approx(1.1)
-    assert adapt_sigma(_dummy_state(3, 100)).sigma == pytest.approx(1.0 / 1.1)
+    assert adapt_sigma(_dummy_state(60)).sigma == pytest.approx(1.1)
+    assert adapt_sigma(_dummy_state(3)).sigma == pytest.approx(1.0 / 1.1)
     for accepts in (30, 50, 5):
-        out = adapt_sigma(_dummy_state(accepts, 100))
+        out = adapt_sigma(_dummy_state(accepts))
         assert out.sigma == 1.0
-        assert out.accept_count == 0 and out.step_count == 0
-    with pytest.raises(ValueError):
-        adapt_sigma(_dummy_state(10, 37))
-    with pytest.raises(ValueError):
-        adapt_sigma(_dummy_state(0, 0))
+        assert out.accept_count == 0
 
 
 def test_metropolis_step_counters_and_trace():
@@ -237,12 +232,10 @@ def test_metropolis_step_counters_and_trace():
     state = ChainState(
         couplings=couplings,
         objective=objective(build_hamiltonian(couplings), 0.5),
-        sigma=0.001, accept_count=0, step_count=0, stage=0.5,
-        rng=np.random.default_rng(9),
+        sigma=0.001, accept_count=0, rng=np.random.default_rng(9),
     )
     for _ in range(25):
-        state = metropolis_step(state, target)
-    assert state.step_count == 25
+        state = metropolis_step(state, target, 0.5, False)
     assert 0 <= state.accept_count <= 25
     assert trace_h_squared(state.couplings) == pytest.approx(target, rel=1e-12)
     assert np.isfinite(state.objective)
@@ -273,22 +266,21 @@ def test_run_schedule_short_chain_structure():
     assert np.array_equal(result.couplings.values, again.couplings.values)
 
 
-def test_run_schedule_checkpoint_resume_is_bit_identical():
+@pytest.mark.parametrize("per_sector", [False, True])
+def test_run_schedule_checkpoint_resume_is_bit_identical(per_sector):
+    # 0-step stages at the start and between stages, a boundary inside a window
     params = EnsembleParams(n=8, seed=33)
-    schedule = Schedule(stages=((0.5, 300), (1.0, 300)))
+    schedule = Schedule(((0.5, 0), (1.0, 150), (2.0, 0), (1.5, 130)), window=30, per_sector=per_sector)
     payloads = []
-    full = run_schedule(
-        params, schedule, np.random.default_rng(4),
-        payloads.append, checkpoint_every=200,
-    )
-    assert [p["global_step"] for p in payloads] == [200, 400, 600]
-    mid = next(p for p in payloads if p["global_step"] == 400)
-    resumed = run_schedule(
-        params, schedule, np.random.default_rng(999), resume=mid,
-    )
-    assert np.array_equal(resumed.couplings.values, full.couplings.values)
-    tail = [row for row in full.trajectory if row.step > 400]
-    assert list(resumed.trajectory) == tail
+    full = run_schedule(params, schedule, np.random.default_rng(4), payloads.append, checkpoint_every=10)
+    assert [p["global_step"] for p in payloads] == list(range(10, 290, 10))
+    at = {p["global_step"]: (p["stage_index"], p["stage_step"]) for p in payloads}
+    assert (at[10], at[150], at[160], at[280]) == ((1, 10), (1, 150), (3, 10), (3, 130))
+    for payload in payloads:
+        resumed = run_schedule(params, schedule, np.random.default_rng(999), resume=payload)
+        assert np.array_equal(resumed.couplings.values, full.couplings.values)
+        tail = [row for row in full.trajectory if row.step > payload["global_step"]]
+        assert list(resumed.trajectory) == tail
 
 
 def test_run_schedule_checkpoint_failure_reports_last_durable():
