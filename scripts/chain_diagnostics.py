@@ -18,18 +18,10 @@ import numpy as np
 
 from syklab.correlators import score_against_members
 from syklab.ensemble import EnsembleParams, CouplingTensor, build_hamiltonian, member_rng, sample_couplings
-from syklab.metropolis import Schedule, run_schedule
+from syklab.metropolis import Schedule, parse_stages, run_schedule
 from syklab.spectral import diagonalize, min_ratio_statistic, sector_ratios
 
 REFERENCE_MEMBERS = 64
-
-
-def parse_stages(text):
-    stages = []
-    for part in text.split(","):
-        beta_d, steps = part.split(":")
-        stages.append((float(beta_d), int(steps)))
-    return tuple(stages)
 
 
 def rotation(j0: np.ndarray, j: np.ndarray):
@@ -44,7 +36,7 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--member", type=int, default=0)
     ap.add_argument("--chain-stream", type=int, default=10 ** 6)
-    ap.add_argument("--stages", type=str, default="0.5:20000,1.0:20000,1.5:20000,2.0:20000")
+    ap.add_argument("--stages", type=parse_stages, default="0.5:20000,1.0:20000,1.5:20000,2.0:20000")
     ap.add_argument("--sigma0", type=float, default=0.001)
     ap.add_argument("--beta", type=float, default=1.0)
     ap.add_argument("--t-points", type=int, default=128)
@@ -60,7 +52,7 @@ def main():
 
     # capture the coupling vector at each stage boundary via the sink; no
     # checkpoint fires at step 0, where a first stage of 0 steps ends
-    stages = parse_stages(args.stages)
+    stages = args.stages
     boundaries = np.cumsum([s for _, s in stages])
     snapshots = {0: (j0.values, args.sigma0)}
 

@@ -41,7 +41,7 @@ from .exports import (
     write_manifest,
     write_table,
 )
-from .metropolis import Schedule, restore_chain, run_schedule
+from .metropolis import Schedule, parse_stages, restore_chain, run_schedule
 from .poissonize import build_pool, poissonize, poissonize_member
 from .spectral import (
     REFERENCES,
@@ -113,13 +113,7 @@ def _betas(text: str, s: dict, large: bool) -> tuple[float, ...]:
 
 
 def _stages(text: str, s: dict, large: bool) -> tuple[tuple[float, int], ...]:
-    stages = []
-    for tok in filter(str.strip, text.split(",")):
-        beta, colon, steps = tok.partition(":")
-        if not colon or int(steps) < 0 or not math.isfinite(float(beta)):
-            raise ValueError(f"stage {tok.strip()!r} is not beta_D:steps with a finite beta_D")
-        stages.append((float(beta), int(steps)))
-    return tuple(stages)
+    return parse_stages(text)
 
 
 def _fermions(text: str, s: dict, large: bool) -> tuple[int, ...]:
@@ -151,7 +145,7 @@ def _resume(text: str, s: dict, large: bool) -> dict | None:
     if not text:
         return None
     payload = read_checkpoint(text)
-    schedule = Schedule(_stages(s["stages"], s, large), s["window"], s["per_sector"])
+    schedule = Schedule(parse_stages(s["stages"]), s["window"], s["per_sector"])
     params = EnsembleParams(n=s["n"], j_scale=s["j_scale"], seed=s["seed"])
     restore_chain(payload, params, schedule, s["member"], member_rng(s["seed"], s["chain_stream"]))
     return payload
@@ -248,7 +242,8 @@ def cmd_poissonize(s: dict, params: EnsembleParams, out: str) -> dict:
         d_norm = float(np.linalg.norm(delta))
         delta_rel.append(d_norm / h_norm)
         nonlocal_fracs.append(0.0 if d_norm == 0.0 else expansion.nonlocal_fraction())
-    orig, poiss, reloc = map(np.concatenate, (orig, poiss, reloc))
+    # r~ = min(r, 1/r) of each pool, the one variable of the statistic and the histograms
+    orig, poiss, reloc = (np.minimum(r, 1.0 / r) for r in map(np.concatenate, (orig, poiss, reloc)))
 
     gue, poisson_ref = REFERENCES["gue"], REFERENCES["poisson"]
     rows = [
@@ -283,24 +278,24 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
     a, b = s["otoc_pair"]
     times = np.linspace(0.0, s["t_max"] / s["j_scale"], s["t_points"])
 
+    # one rotation per eigenbasis serves every beta and every series of a fermion
+    fermions = dict.fromkeys((a, b, *s["two_point"]))
     if s["coefficients"] is not None:
         s0 = diagonalize(build_hamiltonian(sample_couplings(params, member=s["member"])))
         s1 = diagonalize(build_hamiltonian(s["coefficients"]))
+        blocks0, blocks1 = ({i: fermion_block(side, i) for i in fermions} for side in (s0, s1))
         modified_tag = "modified"
     else:
         pair = poissonize_member(params, _pool(params, s), s["member"], s["draw_stream"])
         s0, s1 = pair.spectra, pair.poissonized_spectra
+        # H' = U D' U^dag keeps the eigenvectors of H, so its blocks are those of H
+        blocks0 = blocks1 = {i: fermion_block(s0, i) for i in fermions}
         modified_tag = "poissonized"
+    sides = ((s0, blocks0), (s1, blocks1))
 
-    def blocks(i: int) -> list:
-        # one rotation per side serves every beta and every series of fermion i
-        return [fermion_block(side, i) for side in (s0, s1)]
-
-    rotated = {a: blocks(a), b: blocks(b)}
     tables = {}
     deviations = []
-    otoc0, otoc1 = ([otoc(side, psi_a, psi_b, beta, times) for beta in betas]
-                    for side, psi_a, psi_b in zip((s0, s1), rotated[a], rotated[b]))
+    otoc0, otoc1 = ([otoc(side, blocks[a], blocks[b], beta, times) for beta in betas] for side, blocks in sides)
     tables["otoc_original.csv"] = series_table(otoc0)
     tables[f"otoc_{modified_tag}.csv"] = series_table(otoc1)
     for beta, x, y in zip(betas, otoc0, otoc1):
@@ -310,8 +305,7 @@ def cmd_correlators(s: dict, params: EnsembleParams, out: str) -> dict:
         print(f"otoc(t=0, beta=0) = {at0.real:+.12f}{at0.imag:+.3e}i")
 
     for i in s["two_point"]:
-        g0, g1 = ([two_point(side, psi, beta, times) for beta in betas]
-                  for side, psi in zip((s0, s1), rotated.get(i) or blocks(i)))
+        g0, g1 = ([two_point(side, blocks[i], beta, times) for beta in betas] for side, blocks in sides)
         tables[f"two_point_f{i}_original.csv"] = series_table(g0)
         tables[f"two_point_f{i}_{modified_tag}.csv"] = series_table(g1)
         for beta, x, y in zip(betas, g0, g1):

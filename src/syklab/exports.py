@@ -21,7 +21,6 @@ import numpy as np
 from .decompose import FermionExpansion
 from .ensemble import CouplingTensor, coupling_subsets
 from .pauli import SECTORS
-from .poissonize import EigenvaluePool
 
 
 def _replace(path, write) -> None:
@@ -142,8 +141,8 @@ def gram_table(matrix):
     return numeric_table("j,k,re,im", rows)
 
 
-def pool_table(pool: EigenvaluePool):
-    rows = ((tag, e) for tag, values in zip(SECTORS, (pool.even, pool.odd)) for e in values.tolist())
+def pool_table(pool):
+    rows = ((tag, e) for tag, values in zip(SECTORS, pool) for e in values.tolist())
     return numeric_table("sector,eigenvalue", rows)
 
 

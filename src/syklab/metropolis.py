@@ -54,6 +54,22 @@ class Schedule:
     per_sector: bool = False
 
 
+def parse_stages(text: str) -> tuple[tuple[float, int], ...]:
+    """The stages of a `beta_D:steps` comma list such as "0.5:20000,1.0:20000"; empty text has none."""
+    stages = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            beta_d, steps = tok.split(":")
+            stage = (float(beta_d), int(steps))
+            ok = np.isfinite(stage[0]) and stage[1] >= 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"stage {tok.strip()!r} is not beta_D:steps with a finite beta_D")
+        stages.append(stage)
+    return tuple(stages)
+
+
 @dataclass(frozen=True)
 class ChainState:
     """Chain snapshot; accept_count counts within the current window."""

@@ -1,7 +1,8 @@
 """Spectrum replacement surgery: keep the eigenbasis, Poissonize the levels.
 
 A pool of eigenvalues is collected per parity sector from many disorder
-draws.  A target Hamiltonian H = U D U^dag (per sector) is then rebuilt
+draws: an (even, odd) pair of sorted level arrays, in `pauli.SECTORS`
+order.  A target Hamiltonian H = U D U^dag (per sector) is then rebuilt
 as H' = U D' U^dag where D' holds dim i.i.d. draws from the sector pool,
 sorted ascending so that level k of H is replaced by the rank k draw.
 The difference dH = H' - H commutes with H and is small in Frobenius
@@ -19,28 +20,17 @@ from .pauli import SECTORS, DenseOperator, sector_block_positions
 from .spectral import SectorSpectrum, diagonalize
 
 
-@dataclass(frozen=True)
-class EigenvaluePool:
-    """Per sector eigenvalue pools, each sorted ascending."""
-
-    even: np.ndarray
-    odd: np.ndarray
-
-
-def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> EigenvaluePool:
-    """Collect sector spectra of `members` fresh disorder draws.
+def build_pool(params: EnsembleParams, members: int, start_member: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, odd) levels of `members` fresh disorder draws, each sorted ascending.
 
     Member k uses the (start_member + k)-th coupling stream, so pools
     are reproducible and extensible without re-drawing earlier members.
     """
     if members < 1:
         raise ValueError(f"need at least one member, got {members}")
-    even, odd = [], []
-    for member in range(start_member, start_member + members):
-        e, o = diagonalize(build_hamiltonian(sample_couplings(params, member=member)), need_vectors=False)
-        even.append(e.eigenvalues)
-        odd.append(o.eigenvalues)
-    return EigenvaluePool(np.sort(np.concatenate(even)), np.sort(np.concatenate(odd)))
+    draws = (sample_couplings(params, member=m) for m in range(start_member, start_member + members))
+    spectra = [diagonalize(build_hamiltonian(couplings), need_vectors=False) for couplings in draws]
+    return tuple(np.sort(np.concatenate([s.eigenvalues for s in sector])) for sector in zip(*spectra))
 
 
 @dataclass(frozen=True)
@@ -62,15 +52,15 @@ class PoissonizedPair:
         return self.poissonized - self.original
 
 
-def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator) -> PoissonizedPair:
+def poissonize(h: DenseOperator, pool: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> PoissonizedPair:
     """Replace the spectrum of h by sorted i.i.d. pool draws per sector.
 
     Parameters
     ----------
     h : ndarray
         Hermitian, parity block diagonal target.
-    pool : EigenvaluePool
-        Sector pools to draw from, with replacement.
+    pool : (even, odd) pair of arrays
+        Sector levels to draw from, with replacement.
     rng : numpy Generator
         Consumed once per sector, even sector first.
 
@@ -83,7 +73,7 @@ def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator)
     (ee, _), (_, oo) = sector_block_positions(dim)
     h_prime = np.zeros((dim, dim), dtype=complex)
     replaced = []
-    for tag, s, values, positions in zip(SECTORS, spectra, (pool.even, pool.odd), (ee, oo)):
+    for tag, s, values, positions in zip(SECTORS, spectra, pool, (ee, oo)):
         if values.size == 0:
             raise ValueError(f"empty pool for sector {tag}")
         d_prime = np.sort(values[rng.integers(0, values.size, size=s.eigenvalues.size)])
@@ -95,7 +85,7 @@ def poissonize(h: DenseOperator, pool: EigenvaluePool, rng: np.random.Generator)
 
 
 def poissonize_member(
-    params: EnsembleParams, pool: EigenvaluePool, member: int, stream: int
+    params: EnsembleParams, pool: tuple[np.ndarray, np.ndarray], member: int, stream: int
 ) -> PoissonizedPair:
     """Build disorder member `member` of `params` and poissonize it against `pool`.
 

@@ -162,7 +162,7 @@ def test_criterion_04_sff_plateau(pool128_n14):
             first_even = pair.poissonized_spectra[0].eigenvalues
     ensemble = total / 128.0
 
-    density = MeanDensity.from_samples(np.concatenate([pool.even, pool.odd]))
+    density = MeanDensity.from_samples(np.concatenate(pool))
     analytic = sff_poisson_average(density, beta, times, 128)
     plateau = 128.0 * float(density.transform(2.0 * beta).real[0])
     past_dip = np.nonzero(analytic <= 1.05 * plateau)[0]

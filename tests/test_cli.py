@@ -13,8 +13,11 @@ import pytest
 from syklab import cli, exports, metropolis
 from syklab.cli import build_parser, main
 from syklab.correlators import fermion_block
+from syklab.decompose import majorana_coefficients, truncate_local
 from syklab.ensemble import EnsembleParams, sample_couplings
 from syklab.exports import read_coefficients, read_config, read_table
+from syklab.poissonize import build_pool, poissonize_member
+from syklab.spectral import diagonalize, min_ratio_statistic, sector_ratios
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = "step,beta_D,f,sigma,accept_rate"
@@ -267,6 +270,24 @@ def test_poissonize_row_counts(tmp_path):
     assert len(hist) == 1 + 24
 
 
+def test_ratio_histograms_bin_the_min_ratio_of_the_statistic(tmp_path):
+    # every poissonized and relocalized ratio of this run is above 1: a histogram of raw r over [0, 1] is empty
+    out = tmp_path / "run"
+    assert main(["poissonize", "--n", "6", "--samples", "1", "--pool-members", "1", "--seed", "42",
+                 "--out", str(out)]) == 0
+    params = EnsembleParams(n=6, seed=42)
+    pair = poissonize_member(params, build_pool(params, 1, start_member=1000), 0, 0)
+    local = truncate_local(majorana_coefficients(pair.poissonized, 6), k=4)
+    stats = dict(read_table(out / "stats.csv", "quantity,value"))
+    for tag, spectra in (("original", pair.spectra), ("poissonized", pair.poissonized_spectra),
+                         ("relocalized", diagonalize(local, need_vectors=False))):
+        # bit for bit the mean of min(r, 1/r) over the raw ratios
+        assert float(stats[f"statistic_{tag}"]) == min_ratio_statistic(sector_ratios(spectra))
+        density = np.array(read_table(out / f"ratio_hist_{tag}.csv", "r,density"), dtype=float)[:, 1]
+        assert np.all(np.isfinite(density))
+        assert abs(np.sum(density) / density.size - 1.0) <= 1e-12
+
+
 def test_correlators_against_own_coefficients_is_flat(tmp_path):
     base = tmp_path / "base"
     assert main(["sample", "--n", "8", "--seed", "3", "--out", str(base)]) == 0
@@ -308,8 +329,16 @@ def test_correlators_poissonized_reports_deviation(tmp_path):
     assert (out / "otoc_poissonized.csv").exists()
 
 
-@pytest.mark.parametrize("two_point", ["all", "2,5"])
-def test_correlators_rotate_each_fermion_once_per_side(tmp_path, monkeypatch, two_point):
+@pytest.mark.parametrize("two_point, coefficients", [
+    pytest.param("all", False, id="all"),
+    pytest.param("2,5", False, id="2,5"),
+    pytest.param("all", True, id="all-coefficients"),
+])
+def test_correlators_rotate_each_fermion_once_per_side(tmp_path, monkeypatch, two_point, coefficients):
+    modified = ["--pool-members", "6"]
+    if coefficients:
+        assert main(["sample", "--n", "8", "--seed", "7", "--member", "3", "--out", str(tmp_path / "base")]) == 0
+        modified = ["--coefficients", str(tmp_path / "base" / "coefficients.csv")]
     rotated = []
 
     def counted(spectra, i):
@@ -318,12 +347,14 @@ def test_correlators_rotate_each_fermion_once_per_side(tmp_path, monkeypatch, tw
 
     monkeypatch.setattr(cli, "fermion_block", counted)
     assert main([
-        "correlators", "--n", "8", "--seed", "7", "--pool-members", "6", "--t-points", "16",
+        "correlators", "--n", "8", "--seed", "7", *modified, "--t-points", "16",
         "--betas", "0,1,2,3", "--otoc-pair", "1,2", "--two-point", two_point, "--out", str(tmp_path / "run"),
     ]) == 0
     fermions = {1, 2} | (set(range(8)) if two_point == "all" else {2, 5})
-    assert set(rotated) == fermions
-    assert len(rotated) <= 2 * len(fermions)
+    # H' = U D' U^dag keeps the eigenbasis of H, so one rotation per fermion serves both sides;
+    # other couplings have an eigenbasis of their own
+    sides = 2 if coefficients else 1
+    assert sorted(rotated) == sorted(list(fermions) * sides)
 
 
 def test_decompose_syk_draw_is_local(tmp_path):

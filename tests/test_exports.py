@@ -98,7 +98,7 @@ def _gram():
 
 def _pool():
     pool = build_pool(PARAMS, members=3)
-    rows = [(tag, e) for tag, values in (("even", pool.even), ("odd", pool.odd)) for e in values]
+    rows = [(tag, e) for tag, values in zip(("even", "odd"), pool) for e in values]
     return pool_table(pool), rows
 
 

@@ -4,12 +4,7 @@ from scipy.stats import ks_2samp
 
 from syklab.ensemble import EnsembleParams, build_hamiltonian, member_rng, sample_couplings
 from syklab.pauli import parity_sector_indices, sector_split
-from syklab.poissonize import (
-    EigenvaluePool,
-    build_pool,
-    poissonize,
-    poissonize_member,
-)
+from syklab.poissonize import build_pool, poissonize, poissonize_member
 from syklab.spectral import diagonalize
 
 
@@ -20,9 +15,9 @@ def target(n=10, seed=21):
 
 def test_build_pool_shapes_and_order():
     params = EnsembleParams(n=8, seed=1)
-    pool = build_pool(params, members=6)
-    assert pool.even.size == pool.odd.size == 6 * 8
-    assert np.all(np.diff(pool.even) >= 0.0)
+    even, odd = build_pool(params, members=6)
+    assert even.size == odd.size == 6 * 8
+    assert np.all(np.diff(even) >= 0.0)
     with pytest.raises(ValueError):
         build_pool(params, members=0)
 
@@ -46,7 +41,7 @@ def test_poissonized_operator_structure():
     sector_split(hp)
     # replaced levels are sorted pool values, placed rank to rank
     sectors = parity_sector_indices(hp.shape[0])
-    for s, new, values, indices in zip(pair.spectra, pair.poissonized_spectra, (pool.even, pool.odd), sectors):
+    for s, new, values, indices in zip(pair.spectra, pair.poissonized_spectra, pool, sectors):
         d_prime = new.eigenvalues
         assert np.all(np.diff(d_prime) >= 0.0)
         assert np.all(np.isin(d_prime, values))
@@ -73,7 +68,7 @@ def test_eigenvectors_are_shared_with_target():
     pair = poissonize(h, pool, np.random.default_rng(2))
     # the pair carries the spectrum of H' = U D' U^dag: D' on the eigenbasis of H
     replay = np.random.default_rng(2)
-    for old, new, values in zip(pair.spectra, pair.poissonized_spectra, (pool.even, pool.odd)):
+    for old, new, values in zip(pair.spectra, pair.poissonized_spectra, pool):
         d_prime = np.sort(values[replay.integers(0, values.size, size=old.eigenvalues.size)])
         assert np.array_equal(new.eigenvalues, d_prime)
         assert np.array_equal(new.eigenvectors, old.eigenvectors)
@@ -103,13 +98,13 @@ def test_pool_draws_match_pool_density():
         pair = poissonize(h, pool, rng)
         draws.append(np.concatenate([s.eigenvalues for s in pair.poissonized_spectra]))
     draws = np.concatenate(draws)
-    combined = np.concatenate([pool.even, pool.odd])
+    combined = np.concatenate(pool)
     assert ks_2samp(draws, combined).statistic <= 0.05
 
 
 def test_tiny_pool_with_replacement_duplicates_levels():
     _, h = target()
-    two = EigenvaluePool(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+    two = (np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
     pair = poissonize(h, two, np.random.default_rng(0))
     assert np.unique(pair.poissonized_spectra[0].eigenvalues).size <= 2
 

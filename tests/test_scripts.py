@@ -40,3 +40,11 @@ def test_script_runs_at_a_tiny_size(script, monkeypatch, capsys):
         code = exc.code
     assert code in (0, None)
     assert any(text.startswith(line) for text in capsys.readouterr().out.splitlines())
+
+
+def test_chain_diagnostics_refuses_a_bad_stage(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["chain_diagnostics.py", "--n", "8", "--stages", "0.5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "chain_diagnostics.py"), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--stages" in capsys.readouterr().err
