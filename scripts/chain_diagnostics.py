@@ -51,9 +51,10 @@ def main():
     print()
 
     # capture the coupling vector at each stage boundary via the sink; no
-    # checkpoint fires at step 0, where a first stage of 0 steps ends
+    # checkpoint fires at step 0, where a first stage of 0 steps ends.  An
+    # integer cumsum keeps np.gcd defined for an empty stage list
     stages = args.stages
-    boundaries = np.cumsum([s for _, s in stages])
+    boundaries = np.cumsum([s for _, s in stages], dtype=np.int64)
     snapshots = {0: (j0.values, args.sigma0)}
 
     def sink(payload):

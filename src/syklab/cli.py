@@ -409,7 +409,8 @@ def cmd_gram(s: dict, params: EnsembleParams, out: str) -> dict:
     energies = combined_eigenvalues(pair.poissonized_spectra)
     shifted = energies - energies.min()
     z1 = float(np.sum(np.exp(-beta * shifted)))
-    z2 = float(np.sum(np.exp(-2.0 * beta * shifted)))
+    # double after the product: -2 beta overflows first for a finite beta near the float maximum
+    z2 = float(np.sum(np.exp(-(beta * shifted) * 2.0)))
     rows = [
         ("omega", float(omega)),
         ("dim", float(dim)),

@@ -1,4 +1,4 @@
-"""Pauli string algebra and the Jordan-Wigner Majorana representation.
+"""The Jordan-Wigner Majorana representation and the parity sectors.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -11,12 +11,17 @@ Conventions fixed here and relied on everywhere else:
 * Majorana operators: psi_{2i} has sigma_z on spins 0..i-1, sigma_x on
   spin i; psi_{2i+1} carries sigma_y instead of sigma_x.  With this
   normalization {psi_i, psi_j} = 2 delta_ij.
+
+jordan_wigner is the one table of the Hermitian monomials that the program
+reads.  hermitian_monomial and accumulate_string rebuild them from the
+definition above, as products of per spin 2x2 factors, reading neither
+jordan_wigner nor _UNITS: they are the tests' independent oracle for that
+table, and no run path calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,96 +42,6 @@ PAULI_MATRICES = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
-# single spin products: (left, right) -> (phase, letter)
-_PRODUCT = {}
-for _p in "IXYZ":
-    _PRODUCT[("I", _p)] = (1.0 + 0.0j, _p)
-    _PRODUCT[(_p, "I")] = (1.0 + 0.0j, _p)
-    _PRODUCT[(_p, _p)] = (1.0 + 0.0j, "I")
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _PRODUCT[(_a, _b)] = (1.0j, _c)
-    _PRODUCT[(_b, _a)] = (-1.0j, _c)
-
-@dataclass(frozen=True)
-class PauliString:
-    """A scalar multiple of a tensor product of single spin Paulis.
-
-    letters is one of I, X, Y, Z per spin; phase is a complex unit from
-    {1, -1, i, -i} times an optional real scale.  Products reduce
-    eagerly through the single spin multiplication table, so a
-    PauliString is always in canonical form.
-    """
-
-    letters: tuple[str, ...]
-    phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not all(p in "IXYZ" for p in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-
-    @property
-    def n_spins(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other):
-        if isinstance(other, PauliString):
-            if other.n_spins != self.n_spins:
-                raise ValueError("spin counts differ")
-            phase = self.phase * other.phase
-            letters = []
-            for a, b in zip(self.letters, other.letters):
-                w, c = _PRODUCT[(a, b)]
-                phase *= w
-                letters.append(c)
-            return PauliString(tuple(letters), phase)
-        return PauliString(self.letters, self.phase * complex(other))
-
-    __rmul__ = __mul__
-
-    @property
-    def x_mask(self) -> int:
-        """Bitmask of spins carrying X or Y, in the basis bit convention."""
-        q = self.n_spins
-        return sum(1 << (q - 1 - s) for s, p in enumerate(self.letters) if p in "XY")
-
-    @property
-    def z_mask(self) -> int:
-        q = self.n_spins
-        return sum(1 << (q - 1 - s) for s, p in enumerate(self.letters) if p in "ZY")
-
-    @property
-    def y_count(self) -> int:
-        return sum(1 for p in self.letters if p == "Y")
-
-    def column_action(self):
-        """Single nonzero per column: returns (rows, values).
-
-        Column b maps to row b ^ x_mask with value
-        phase * i^{#Y} * (-1)^{popcount(b & z_mask)}.
-        """
-        dim = 2 ** self.n_spins
-        cols = np.arange(dim)
-        rows = cols ^ self.x_mask
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & self.z_mask) & 1)
-        vals = (self.phase * 1.0j ** self.y_count) * signs
-        return rows, vals
-
-    def dense(self) -> DenseOperator:
-        dim = 2 ** self.n_spins
-        out = np.zeros((dim, dim), dtype=complex)
-        rows, vals = self.column_action()
-        out[rows, np.arange(dim)] = vals
-        return out
-
-
-def majorana_string(i: int, n: int) -> PauliString:
-    """Symbolic Jordan-Wigner form of the i-th Majorana for N = n fermions."""
-    _check_majorana_args(i, n)
-    q = n // 2
-    s = i // 2
-    letters = ["Z"] * s + ["X" if i % 2 == 0 else "Y"] + ["I"] * (q - s - 1)
-    return PauliString(tuple(letters))
-
 
 def majorana_matrix(i: int, n: int) -> DenseOperator:
     """Dense 2^{n/2} realization of the i-th Majorana operator, from its jordan_wigner row."""
@@ -137,48 +52,6 @@ def majorana_matrix(i: int, n: int) -> DenseOperator:
     out = np.zeros((dim, dim), dtype=complex)
     out[cols ^ x, cols] = unit * (1.0 - 2.0 * (np.bitwise_count(cols & z) & 1))
     return out
-
-
-def majorana_monomial(indices, n: int) -> PauliString:
-    """Ordered product psi_{i1} psi_{i2} ... for strictly ascending indices.
-
-    Parameters
-    ----------
-    indices : iterable of int
-        Strictly ascending Majorana indices in range(n).  Empty gives
-        the identity string.
-    n : int
-        Total number of Majorana fermions, even.
-
-    Returns
-    -------
-    PauliString
-        The canonical reduced product; its phase is a fourth root of
-        unity.
-    """
-    indices = tuple(indices)
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"indices must be strictly ascending, got {indices}")
-    if n % 2 != 0 or n <= 0:
-        raise ValueError(f"fermion count must be positive even, got {n}")
-    out = PauliString(("I",) * (n // 2))
-    for i in indices:
-        out = out * majorana_string(i, n)
-    return out
-
-
-def hermitian_monomial(indices, n: int) -> PauliString:
-    """Majorana monomial rephased so that its dense form is Hermitian.
-
-    Reversing p pairwise anticommuting factors costs (-1)^{p(p-1)/2},
-    so the bare product is anti-Hermitian for p = 2, 3 mod 4; those get
-    an extra factor i.  Size 4 monomials are already Hermitian.
-    """
-    m = majorana_monomial(indices, n)
-    p = len(tuple(indices))
-    if (p * (p - 1) // 2) % 2:
-        m = m * 1.0j
-    return m
 
 
 _UNITS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k
@@ -217,13 +90,55 @@ def _check_majorana_args(i: int, n: int):
         raise ValueError(f"majorana index {i} out of range for n={n}")
 
 
-def accumulate_string(out: DenseOperator, ps: PauliString, coeff: complex) -> None:
-    """out += coeff * dense(ps) without materializing the dense string."""
+@lru_cache(maxsize=64)
+def _majorana_factors(i: int, n: int) -> np.ndarray:
+    """Per spin 2x2 factors of psi_i, shape (n/2, 2, 2), read-only: Z below spin i // 2, X or Y on it."""
+    _check_majorana_args(i, n)
+    s = i // 2
+    out = np.stack([PAULI_MATRICES[c] for c in "Z" * s + "XY"[i % 2] + "I" * (n // 2 - s - 1)])
+    out.flags.writeable = False
+    return out
+
+
+def _monomial_factors(indices, n: int) -> np.ndarray:
+    """Per spin 2x2 factors, shape (n/2, 2, 2), of hermitian_monomial(indices, n).
+
+    A product of Kronecker products multiplies spin by spin.  Reversing p
+    anticommuting factors costs (-1)^{p(p-1)/2}, so the bare product of
+    p = 2, 3 mod 4 Majoranas is anti-Hermitian; those get an extra i.
+    """
+    indices = tuple(indices)
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"indices must be strictly ascending, got {indices}")
+    _check_majorana_args(0, n)  # n itself, for the identity too
+    psis = [_majorana_factors(i, n) for i in indices]
+    factors = reduce(np.matmul, psis or [np.broadcast_to(PAULI_MATRICES["I"], (n // 2, 2, 2))])
+    if len(indices) % 4 >= 2:
+        factors[0] *= 1.0j
+    return factors
+
+
+def hermitian_monomial(indices, n: int) -> DenseOperator:
+    """Dense Hermitian monomial of a Majorana subset: the Kronecker product of its factors."""
+    q = n // 2
+    m = reduce(np.multiply.outer, _monomial_factors(indices, n), np.ones((), dtype=complex))
+    # axes (row_0, col_0, row_1, col_1, ...) to (row_0, row_1, ..., col_0, col_1, ...)
+    return m.transpose(*range(0, 2 * q, 2), *range(1, 2 * q, 2)).reshape(2**q, 2**q)
+
+
+def accumulate_string(out: DenseOperator, indices, coeff: complex) -> None:
+    """out += coeff * hermitian_monomial(indices, n), n from out's shape, at O(n dim).
+
+    Each factor has one nonzero per column, so column b goes to row b ^ x,
+    x flagging the off-diagonal factors, with the Kronecker product of the
+    factors' column sums as values.
+    """
     dim = out.shape[0]
-    if dim != 2 ** ps.n_spins:
-        raise ValueError("dimension mismatch")
-    rows, vals = ps.column_action()
-    out[rows, np.arange(dim)] += coeff * vals
+    q = dim.bit_length() - 1
+    factors = _monomial_factors(indices, 2 * q)
+    x = sum(1 << (q - 1 - s) for s in np.flatnonzero(factors[:, 1, 0]))
+    cols = np.arange(dim)
+    out[cols ^ x, cols] += coeff * reduce(np.multiply.outer, factors.sum(axis=1)).reshape(-1)
 
 
 SECTORS = ("even", "odd")  # the order of every pair of sector data: a sector is its position

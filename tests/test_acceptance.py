@@ -62,7 +62,7 @@ def monomial_rows(subsets, n: int) -> np.ndarray:
     dim = 2 ** (n // 2)
     rows = np.empty((len(subsets), dim * dim), dtype=complex)
     for k, s in enumerate(subsets):
-        rows[k] = hermitian_monomial(s, n).dense().reshape(-1)
+        rows[k] = hermitian_monomial(s, n).reshape(-1)
     return rows
 
 

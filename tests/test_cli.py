@@ -574,6 +574,13 @@ def test_gram_single_state_has_rank_one(tmp_path):
     assert len(gram_rows) == 2
 
 
+def test_gram_purity_ratio_stays_finite_at_a_huge_beta(tmp_path):
+    out = tmp_path / "run"
+    assert main(["gram", "--n", "8", "--pool-members", "2", "--beta", "1e308", "--out", str(out)]) == 0
+    z_ratio = float(dict(read_table(out / "report.csv", "quantity,value"))["z_ratio_2"])
+    assert 0.0 < z_ratio <= 1.0
+
+
 # per command, a library call it makes after it has computed some of its tables
 LATE_CALL = {
     "poissonize": "min_ratio_statistic", "correlators": "compare_series",

@@ -23,6 +23,8 @@ from syklab.decompose import (
 )
 from syklab.ensemble import EnsembleParams, build_hamiltonian, coupling_subsets, sample_couplings
 from syklab.pauli import hermitian_monomial, majorana_matrix
+from syklab.poissonize import build_pool, poissonize_member
+from syklab.spectral import diagonalize
 
 
 def monomial_coefficients(a, n):
@@ -33,7 +35,7 @@ def monomial_coefficients(a, n):
 
 
 def monomial_sum(coefficients, n):
-    return sum(c * hermitian_monomial(s, n).dense() for s, c in coefficients.items())
+    return sum(c * hermitian_monomial(s, n) for s, c in coefficients.items())
 
 
 def oracle_majorana_coefficients(a, n):
@@ -41,7 +43,7 @@ def oracle_majorana_coefficients(a, n):
     out = {}
     for size in range(n + 1):
         for indices in itertools.combinations(range(n), size):
-            m = hermitian_monomial(indices, n).dense()
+            m = hermitian_monomial(indices, n)
             c = complex(np.trace(m.conj().T @ a)) / dim
             if abs(c) > 1e-14:
                 out[indices] = c
@@ -101,7 +103,7 @@ def test_majorana_coefficients_match_trace_oracle():
             if rng.random() < 0.4:
                 c = float(rng.normal())
                 wanted[indices] = c
-                a += c * hermitian_monomial(indices, n).dense()
+                a += c * hermitian_monomial(indices, n)
     exp = majorana_coefficients(a, n)
     oracle = oracle_majorana_coefficients(a, n)
     assert {s for s in all_subsets(n) if exp.coefficient(s) != 0.0} == set(oracle)
@@ -187,7 +189,7 @@ def test_truncate_local_partition():
     for k in (0, 2, 4, 6, 8):
         local = truncate_local(exp, k=k)
         # the local part is the projection onto the monomials of size <= k
-        want = sum(c.real * hermitian_monomial(i, n).dense() for i, c in oracle.items() if len(i) <= k)
+        want = sum(c.real * hermitian_monomial(i, n) for i, c in oracle.items() if len(i) <= k)
         assert np.max(np.abs(local - want)) < 1e-9
         # the remainder carries the weight of the sizes > k (Parseval)
         rest = np.linalg.norm(a - local) / np.linalg.norm(a)
@@ -197,6 +199,28 @@ def test_truncate_local_partition():
     assert np.max(np.abs(local - a)) < 1e-9
     with pytest.raises(ValueError):
         truncate_local(exp, k=-1)
+
+
+def sector_moment_mismatch(spectra, m):
+    """|tr_e H^m - tr_o H^m| relative to the sum of |level|^m over both sectors."""
+    e, o = (s.eigenvalues for s in spectra)
+    return abs(np.sum(e**m) - np.sum(o**m)) / (np.sum(np.abs(e) ** m) + np.sum(np.abs(o) ** m))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_sector_moments_agree_below_the_parity_size(n):
+    # parity has size n and H^m size at most 4m when H stops at size 4, so
+    # tr(parity H^m) = tr_e H^m - tr_o H^m vanishes for 4m < n (q even:
+    # at q odd the two sector spectra are equal for any SYK H anyway)
+    params = EnsembleParams(n=n, seed=42)
+    pair = poissonize_member(params, build_pool(params, 4, start_member=1000), 0, 0)
+    local = truncate_local(majorana_coefficients(pair.poissonized, n), k=4)
+    relocalized = diagonalize(local, need_vectors=False)
+    for m in range(1, (n + 3) // 4):
+        assert sector_moment_mismatch(pair.spectra, m) < 1e-13
+        assert sector_moment_mismatch(relocalized, m) < 1e-13
+        # H' draws each sector's levels on its own: its expansion reaches size n
+        assert sector_moment_mismatch(pair.poissonized_spectra, m) > 0.05
 
 
 @given(st.integers(0, 10_000))

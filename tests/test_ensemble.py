@@ -16,7 +16,7 @@ from syklab.ensemble import (
     sample_couplings,
     trace_h_squared,
 )
-from syklab.pauli import accumulate_string, hermitian_monomial, sector_split
+from syklab.pauli import accumulate_string, sector_split
 
 
 def test_variance_value_n8():
@@ -91,7 +91,7 @@ def test_build_matches_monomial_sum_oracle(n):
     coup = sample_couplings(EnsembleParams(n=n, seed=5), member=1)
     want = np.zeros((2 ** (n // 2),) * 2, dtype=complex)
     for s, j in zip(coupling_subsets(n), coup.values):
-        accumulate_string(want, hermitian_monomial(s, n), -j)
+        accumulate_string(want, s, -j)
     np.testing.assert_allclose(build_hamiltonian(coup), want, rtol=0.0, atol=1e-14)
 
 

@@ -42,6 +42,17 @@ def test_script_runs_at_a_tiny_size(script, monkeypatch, capsys):
     assert any(text.startswith(line) for text in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("stages, rows", [("", 0), ("0.5:0,1.0:0", 2)])
+def test_chain_diagnostics_prints_a_chain_that_takes_no_step(stages, rows, monkeypatch, capsys):
+    argv = ["--n", "8", "--stages", stages, "--t-points", "8", "--flavors", "1"]
+    monkeypatch.setattr(sys, "argv", ["chain_diagnostics.py", *argv])
+    runpy.run_path(str(SCRIPTS / "chain_diagnostics.py"), run_name="__main__")
+    out = capsys.readouterr().out.splitlines()
+    header = next(k for k, text in enumerate(out) if text.lstrip().startswith("stage"))
+    assert out.index("", header) == header + 1 + rows
+    assert any(text.startswith("annealed vs the 64-member mean:") for text in out)
+
+
 def test_chain_diagnostics_refuses_a_bad_stage(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["chain_diagnostics.py", "--n", "8", "--stages", "0.5"])
     with pytest.raises(SystemExit) as exc:
