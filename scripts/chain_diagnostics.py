@@ -52,7 +52,8 @@ def main():
 
     # capture the coupling vector at each stage boundary via the sink; no
     # checkpoint fires at step 0, where a first stage of 0 steps ends.  An
-    # integer cumsum keeps np.gcd defined for an empty stage list
+    # integer cumsum keeps np.gcd defined for an empty stage list; a chain of
+    # no steps has gcd 0 and writes nothing, at any checkpoint_every >= 1
     stages = args.stages
     boundaries = np.cumsum([s for _, s in stages], dtype=np.int64)
     snapshots = {0: (j0.values, args.sigma0)}
@@ -71,7 +72,7 @@ def main():
         checkpoint_sink=sink,
         member=args.member,
         sigma0=args.sigma0,
-        checkpoint_every=gcd,
+        checkpoint_every=max(gcd, 1),
     )
 
     print(f"{'stage':>6} {'beta_D':>7} {'cos(J0,J)':>10} {'|dJ|/|J|':>9} "

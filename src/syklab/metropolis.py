@@ -132,9 +132,11 @@ def objective(h: DenseOperator, beta_d: float, per_sector: bool = False) -> floa
     drops the physically unconstrained cross-sector pairs.  When
     q = log2(dim) is odd (N = 2 mod 4), particle-hole symmetry maps the even
     sector onto the odd one with the same spectrum (You, Ludwig & Xu,
-    arXiv:1602.06964), so only the even block is diagonalized and each of
-    its levels counts twice; h must then have that symmetry, as every SYK H
-    has.
+    arXiv:1602.06964; the map is pauli.particle_hole_map), so only the even
+    block is diagonalized and each of its levels counts twice; h must then
+    have that symmetry, as every SYK H has.  Unlike spectral.diagonalize, it
+    does not compare the blocks, which would add an O(dim^2) check to every
+    chain step.
     """
     h = np.asarray(h)
     dim = h.shape[0]
@@ -340,7 +342,8 @@ def run_schedule(
     Raises
     ------
     ValueError
-        If restore_chain rejects the resume payload; the message names the
+        If checkpoint_sink is set and checkpoint_every is below 1, or if
+        restore_chain rejects the resume payload; the message names the
         field.
     OSError
         If checkpoint_sink fails with one; the message names the step and
@@ -349,6 +352,8 @@ def run_schedule(
         If the final tr(H^2) differs from the target by more than
         TRACE_DRIFT_TOL, relative.
     """
+    if checkpoint_sink is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every!r}")
     fresh = resume is None
     if fresh:
         # a fresh chain is a resume from its step-0 checkpoint

@@ -168,6 +168,29 @@ def sector_block_positions(dim: int):
     return out
 
 
+@lru_cache(maxsize=4)
+def particle_hole_map(dim: int):
+    """The even-to-odd sector map (pi, s) of R = prod_i psi_{2i} at q = log2(dim) odd, else None.
+
+    R's jordan_wigner row has the all-ones x-mask, so R sends basis state b
+    to its complement with sign s = (-1)^{popcount(b & z)}; at q odd that
+    flips the parity.  pi[j] is the odd-sector position of the complement of
+    even state j, and s[j] its sign.  Every four-body H commutes with the
+    antiunitary R K (You, Ludwig & Xu, arXiv:1602.06964), which at q odd
+    reads H_oo[pi_j, pi_k] = s_j s_k conj(H_ee[j, k]).  Cached per dim,
+    read-only.
+    """
+    q = dim.bit_length() - 1
+    if q % 2 == 0:
+        return None
+    (x,), (z,), _ = jordan_wigner([sum(1 << 2 * i for i in range(q))], 2 * q)
+    even, odd = parity_sector_indices(dim)
+    pi = np.searchsorted(odd, even ^ x)
+    s = 1.0 - 2.0 * (np.bitwise_count(even & z) & 1)
+    pi.flags.writeable = s.flags.writeable = False
+    return pi, s
+
+
 def sector_split(a: DenseOperator):
     """Split a parity conserving operator into its even and odd blocks.
 

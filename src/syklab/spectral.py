@@ -2,9 +2,13 @@
 
 Gap ratios are always computed within one parity sector; mixing sectors
 before taking ratios fakes Poisson statistics even for random matrix
-spectra (and for N = 2 mod 4 the two sector spectra coincide exactly, so
-a combined spectrum is doubly degenerate).  Pooling happens only at the
-statistics and histogram layer.
+spectra.  For N = 2 mod 4 the odd block of every four-body H is the
+particle-hole mirror of the even block (pauli.particle_hole_map), so the
+two sector spectra coincide and a combined spectrum is doubly degenerate;
+diagonalize then solves the even block alone and mirrors the odd sector.
+Inputs without that mirror, such as H' and its relocalized form, get one
+eigensolver call per sector.  Pooling happens only at the statistics and
+histogram layer.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import lcm, log
 import numpy as np
 
 from .errors import NumericalError
-from .pauli import DenseOperator, require_hermitian, sector_split
+from .pauli import DenseOperator, particle_hole_map, require_hermitian, sector_split
 
 DEGENERACY_THRESHOLD = 1e-14  # relative to spectrum bandwidth
 RESIDUAL_TOL = 1e-10  # eigensolver residual, relative to the sector's Frobenius norm
@@ -45,8 +49,31 @@ class SectorSpectrum:
     eigenvectors: np.ndarray | None
 
 
+def _diagonalize_block(block: np.ndarray, need_vectors: bool) -> SectorSpectrum:
+    if not need_vectors:
+        return SectorSpectrum(np.linalg.eigvalsh(block), None)
+    w, u = np.linalg.eigh(block)
+    scale = max(float(np.linalg.norm(block)), 1e-300)
+    residual = float(np.linalg.norm((u * w) @ u.conj().T - block))
+    if residual > RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:g} "
+            f"of sector norm {scale:.3e}"
+        )
+    return SectorSpectrum(w, u)
+
+
 def diagonalize(h: DenseOperator, need_vectors: bool = True):
     """Diagonalize a parity conserving Hermitian operator per sector.
+
+    At q = log2(dim) odd (N = 2 mod 4), an odd block that equals the
+    particle-hole mirror of the even block, H_oo[pi_j, pi_k] =
+    s_j s_k conj(H_ee[j, k]) with (pi, s) = pauli.particle_hole_map(dim),
+    is not diagonalized: its levels are the even levels and its vectors are
+    U_o[pi] = s conj(U_e).  Every SYK H of the builder is mirrored bit for
+    bit.  H', a relocalized H', any input whose odd block misses the mirror
+    by a single bit, and every input at q even get one eigensolver call per
+    sector.
 
     Parameters
     ----------
@@ -64,24 +91,22 @@ def diagonalize(h: DenseOperator, need_vectors: bool = True):
     StructureError
         If h is not Hermitian or not block diagonal.
     NumericalError
-        If ||U w U^dag - H_sector||_F exceeds RESIDUAL_TOL of ||H_sector||_F.
+        If ||U w U^dag - H_sector||_F exceeds RESIDUAL_TOL of ||H_sector||_F
+        on a sector that was diagonalized.
     """
     require_hermitian(h)
-    out = []
-    for block in sector_split(h):
-        if need_vectors:
-            w, u = np.linalg.eigh(block)
-            scale = max(float(np.linalg.norm(block)), 1e-300)
-            residual = float(np.linalg.norm((u * w) @ u.conj().T - block))
-            if residual > RESIDUAL_TOL * scale:
-                raise NumericalError(
-                    f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:g} "
-                    f"of sector norm {scale:.3e}"
-                )
-        else:
-            w, u = np.linalg.eigvalsh(block), None
-        out.append(SectorSpectrum(w, u))
-    return tuple(out)
+    even, odd = sector_split(h)
+    mirror = particle_hole_map(len(even) + len(odd))
+    if mirror is not None:
+        pi, s = mirror
+        if np.array_equal(odd[np.ix_(pi, pi)], s[:, None] * even.conj() * s):
+            spectrum = _diagonalize_block(even, need_vectors)
+            vectors = None
+            if need_vectors:
+                vectors = np.empty_like(spectrum.eigenvectors)
+                vectors[pi] = s[:, None] * spectrum.eigenvectors.conj()
+            return spectrum, SectorSpectrum(spectrum.eigenvalues.copy(), vectors)
+    return _diagonalize_block(even, need_vectors), _diagonalize_block(odd, need_vectors)
 
 
 def combined_eigenvalues(spectra) -> np.ndarray:

@@ -283,6 +283,16 @@ def test_run_schedule_checkpoint_resume_is_bit_identical(per_sector):
         assert list(resumed.trajectory) == tail
 
 
+def test_run_schedule_rejects_checkpoint_every_below_one_before_a_step():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    payloads = []
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run_schedule(EnsembleParams(n=8, seed=33), Schedule(stages=((0.5, 300),)), rng, payloads.append,
+                     checkpoint_every=0)
+    assert payloads == [] and rng.bit_generator.state == before
+
+
 def test_run_schedule_checkpoint_failure_reports_last_durable():
     params = EnsembleParams(n=8, seed=33)
     schedule = Schedule(stages=((0.5, 300),))

@@ -18,6 +18,7 @@ from syklab.pauli import (
     jordan_wigner,
     majorana_matrix,
     parity_sector_indices,
+    particle_hole_map,
     sector_block_positions,
     sector_split,
 )
@@ -172,6 +173,33 @@ def test_sector_block_positions_tile_the_matrix():
         every = np.concatenate([p.ravel() for row in positions for p in row])
         assert np.array_equal(np.sort(every), np.arange(dim * dim))
         assert not positions[0][1].flags.writeable
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_particle_hole_map_is_the_product_of_even_majoranas(n):
+    # R = psi_0 psi_2 ... psi_{n-2} from the oracle; R conj(M) R^dag = M for
+    # every quartic monomial M, and R carries the even sector onto the odd one
+    dim = 2 ** (n // 2)
+    r = hermitian_monomial(tuple(range(0, n, 2)), n)
+    for indices in itertools.combinations(range(n), 4):
+        m = hermitian_monomial(indices, n)
+        assert np.array_equal(r @ m.conj() @ r.conj().T, m)
+    pi, s = particle_hole_map(dim)
+    even, odd = parity_sector_indices(dim)
+    assert np.count_nonzero(r[np.ix_(even, even)]) == 0
+    block = r[np.ix_(odd, even)]
+    want = np.zeros_like(block)
+    want[pi, np.arange(dim // 2)] = s
+    phase = block[pi[0], 0] / s[0]
+    assert abs(phase) == 1.0
+    assert np.array_equal(block, phase * want)
+    assert not pi.flags.writeable and not s.flags.writeable
+
+
+def test_particle_hole_map_keeps_the_sectors_at_q_even():
+    for n in (2, 4, 8, 12):
+        dim = 2 ** (n // 2)
+        assert (particle_hole_map(dim) is None) == (n % 4 == 0)
 
 
 def test_sector_split_on_even_operator():

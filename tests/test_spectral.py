@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from syklab import spectral
 from syklab.ensemble import EnsembleParams, build_hamiltonian, sample_couplings
-from syklab.pauli import parity_sector_indices
+from syklab.pauli import parity_sector_indices, sector_split
+from syklab.poissonize import build_pool, poissonize
 from syklab.spectral import (
     GUE_MIN_RATIO,
     POISSON_MIN_RATIO,
     REFERENCES,
+    RESIDUAL_TOL,
     MeanDensity,
     combined_eigenvalues,
     diagonalize,
@@ -51,6 +54,60 @@ def test_diagonalize_without_vectors():
     indices, _ = parity_sector_indices(h.shape[0])
     w_even, _ = np.linalg.eigh(h[np.ix_(indices, indices)])
     assert np.allclose(even.eigenvalues, w_even, atol=1e-12)
+
+
+def block_calls(monkeypatch):
+    """The sector blocks diagonalize hands to the eigensolver, in call order."""
+    calls, solve = [], spectral._diagonalize_block
+
+    def record(block, need_vectors):
+        calls.append(block)
+        return solve(block, need_vectors)
+
+    monkeypatch.setattr(spectral, "_diagonalize_block", record)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 10, 14, 18])
+def test_diagonalize_mirrors_the_odd_sector_of_a_builder_hamiltonian(n, monkeypatch):
+    h = syk_hamiltonian(n, 42)
+    ee, oo = sector_split(h)
+    calls = block_calls(monkeypatch)
+    even, odd = diagonalize(h)
+    assert len(calls) == 1 and np.array_equal(calls[0], ee)
+    assert np.array_equal(odd.eigenvalues, even.eigenvalues)
+    residual = np.linalg.norm((odd.eigenvectors * odd.eigenvalues) @ odd.eigenvectors.conj().T - oo)
+    assert residual <= RESIDUAL_TOL * np.linalg.norm(oo)
+    assert np.max(np.abs(odd.eigenvalues - np.linalg.eigvalsh(oo))) < 1e-13
+    levels = diagonalize(h, need_vectors=False)
+    assert len(calls) == 2 and levels[1].eigenvectors is None
+    assert np.array_equal(levels[1].eigenvalues, levels[0].eigenvalues)
+
+
+def unmirrored_input(n, kind):
+    """An input diagonalize must solve sector by sector: H' or a one-ulp nudge of H at q odd, H at q even."""
+    h = syk_hamiltonian(n, 42)
+    if kind == "poissonized":
+        pool = build_pool(EnsembleParams(n=n, seed=42), 2, start_member=1)
+        return poissonize(h, pool, np.random.default_rng(3)).poissonized
+    if kind == "nudged":  # the largest Hermitian pair of odd-block entries, by one ulp
+        odd = parity_sector_indices(h.shape[0])[1]
+        j, k = np.unravel_index(np.argmax(np.abs(np.triu(sector_split(h)[1], 1))), (odd.size, odd.size))
+        a, b = odd[j], odd[k]
+        h[a, b] = complex(np.nextafter(h[a, b].real, np.inf), h[a, b].imag)
+        h[b, a] = np.conj(h[a, b])
+    return h
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (6, 10, 14) for kind in ("poissonized", "nudged")]
+                         + [(8, "builder"), (12, "builder")])
+def test_diagonalize_solves_each_sector_of_an_unmirrored_input(n, kind, monkeypatch):
+    h = unmirrored_input(n, kind)
+    calls = block_calls(monkeypatch)
+    got = diagonalize(h)
+    assert len(calls) == 2
+    for sector, (w, u) in zip(got, (np.linalg.eigh(block) for block in sector_split(h))):
+        assert np.array_equal(sector.eigenvalues, w) and np.array_equal(sector.eigenvectors, u)
 
 
 def test_gap_ratios_hand_example():
